@@ -9,25 +9,13 @@ package stackcache
 // (best round kept) so machine drift cannot bias the comparison, and
 // every warm acquisition is asserted to be a disk hit — a silent
 // recompile would be measured as a (bogus) warm number.
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR9 .
-//
-// re-measures the sweep and rewrites BENCH_PR9.json at the repository
-// root, at both concurrency points (single goroutine at GOMAXPROCS=1,
-// NumCPU goroutines at GOMAXPROCS=NumCPU).
+// BENCH_PR9.json at the repository root records an earlier
+// interleaved A/B of the two phases.
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"stackcache/internal/artifact"
 	"stackcache/internal/forth"
@@ -79,126 +67,4 @@ func BenchmarkArtifactColdVsWarm(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchPR9Point is one (workload, phase, concurrency) cell of the
-// cold-vs-warm sweep.
-type benchPR9Point struct {
-	Workload    string  `json:"workload"`
-	Phase       string  `json:"phase"` // "cold" or "warm"
-	Runs        int     `json:"runs"`
-	Seconds     float64 `json:"seconds"`
-	UnitsPerSec float64 `json:"units_per_sec"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	Goroutines  int     `json:"goroutines"`
-}
-
-type benchPR9Report struct {
-	Bench       string          `json:"bench"`
-	Description string          `json:"description"`
-	NumCPU      int             `json:"numcpu"`
-	Points      []benchPR9Point `json:"points"`
-}
-
-// TestWriteBenchPR9 regenerates BENCH_PR9.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses and
-// covers every workload × phase × concurrency cell.
-func TestWriteBenchPR9(t *testing.T) {
-	const path = "BENCH_PR9.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR9Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR9.json is invalid: %v", err)
-		}
-		if want := len(paperWorkloads) * 2 * 2; len(rep.Points) != want {
-			t.Fatalf("committed BENCH_PR9.json has %d points, want %d "+
-				"(%d workloads x 2 phases x 2 concurrency points)",
-				len(rep.Points), want, len(paperWorkloads))
-		}
-		return
-	}
-
-	rep := benchPR9Report{
-		Bench: "artifact-cold-vs-warm",
-		Description: "per-workload artifact acquisition latency: cold is the full " +
-			"source pipeline (compile, verify, quicken, re-verify, analyze, persist), " +
-			"warm is a fresh store loading the same unit from a populated -cachedir " +
-			"(every warm acquisition asserted to be a disk hit); phases measured in " +
-			"tightly interleaved rounds (best round kept); single goroutine at " +
-			"GOMAXPROCS=1 and NumCPU goroutines at GOMAXPROCS=NumCPU",
-		NumCPU: runtime.NumCPU(),
-	}
-	const rounds, reps = 6, 4
-	for _, w := range paperWorkloads {
-		wl, ok := workloads.ByName(w)
-		if !ok {
-			t.Fatalf("unknown workload %q", w)
-		}
-		warmDir := t.TempDir()
-		acquireUnit(t, warmDir, wl.Source)
-
-		for _, par := range []bool{false, true} {
-			procs, workers := 1, 1
-			if par {
-				procs, workers = runtime.NumCPU(), runtime.NumCPU()
-			}
-			prev := runtime.GOMAXPROCS(procs)
-			best := map[string]time.Duration{}
-			var coldSeq atomic.Int64
-			coldRoot := t.TempDir()
-			for r := 0; r < rounds; r++ {
-				for _, phase := range []string{"cold", "warm"} {
-					start := time.Now()
-					var wg sync.WaitGroup
-					for g := 0; g < workers; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := 0; i < reps; i++ {
-								if phase == "cold" {
-									// Every cold acquisition gets a private directory so
-									// no concurrent persist turns it into a disk hit.
-									dir := filepath.Join(coldRoot, strconv.FormatInt(coldSeq.Add(1), 10))
-									acquireUnit(t, dir, wl.Source)
-								} else if out := acquireUnit(t, warmDir, wl.Source); out != artifact.DiskHit {
-									t.Errorf("%s: warm acquisition was %v, want DiskHit", w, out)
-								}
-							}
-						}()
-					}
-					wg.Wait()
-					elapsed := time.Since(start)
-					if b, ok := best[phase]; !ok || elapsed < b {
-						best[phase] = elapsed
-					}
-				}
-			}
-			runtime.GOMAXPROCS(prev)
-			for _, phase := range []string{"cold", "warm"} {
-				elapsed := best[phase]
-				runs := reps * workers
-				rep.Points = append(rep.Points, benchPR9Point{
-					Workload:    w,
-					Phase:       phase,
-					Runs:        runs,
-					Seconds:     elapsed.Seconds(),
-					UnitsPerSec: float64(runs) / elapsed.Seconds(),
-					GoMaxProcs:  procs,
-					Goroutines:  workers,
-				})
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -3,24 +3,11 @@ package stackcache
 // The AOT closure compiler vs the switch baseline over the paper's
 // four workloads — the acceptance benchmark for the "compiled" engine
 // (dispatch specialized around the program, not the loop).
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR7 .
-//
-// re-measures the sweep and rewrites BENCH_PR7.json at the repository
-// root. Each engine×workload pair is measured twice: single-goroutine
-// at GOMAXPROCS=1, and NumCPU goroutines at GOMAXPROCS=NumCPU — the
-// first step of the ROADMAP's "multi-core truth" debt on the bench
-// trajectory.
+// BENCH_PR7.json at the repository root records an earlier
+// interleaved A/B of the same pairs.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/interp"
@@ -54,133 +41,4 @@ func BenchmarkCompiledVsSwitch(b *testing.B) {
 			})
 		}
 	}
-}
-
-// benchPR7Point is enginePoint plus the concurrency coordinates.
-type benchPR7Point struct {
-	enginePoint
-	GoMaxProcs int `json:"gomaxprocs"`
-	Goroutines int `json:"goroutines"`
-}
-
-type benchPR7Report struct {
-	Bench       string          `json:"bench"`
-	Description string          `json:"description"`
-	NumCPU      int             `json:"numcpu"`
-	Points      []benchPR7Point `json:"points"`
-}
-
-// TestWriteBenchPR7 regenerates BENCH_PR7.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses and
-// covers compiled+switch over all four paper workloads at both
-// concurrency points.
-func TestWriteBenchPR7(t *testing.T) {
-	const path = "BENCH_PR7.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR7Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR7.json is invalid: %v", err)
-		}
-		if want := 2 * 2 * len(paperWorkloads); len(rep.Points) != want {
-			t.Fatalf("committed BENCH_PR7.json has %d points, want %d "+
-				"(2 engines x %d workloads x 2 concurrency points)",
-				len(rep.Points), want, len(paperWorkloads))
-		}
-		return
-	}
-
-	rep := benchPR7Report{
-		Bench: "compiled-vs-switch",
-		Description: "fixed-work paper-workload runs, AOT closure compiler vs " +
-			"switch baseline; engines measured in tightly interleaved rounds " +
-			"(best round kept) so machine drift cannot bias the comparison; " +
-			"single goroutine at GOMAXPROCS=1 and NumCPU goroutines at " +
-			"GOMAXPROCS=NumCPU",
-		NumCPU: runtime.NumCPU(),
-	}
-	// Interleave the two engines round by round inside each workload ×
-	// concurrency cell and keep each engine's best round: back-to-back
-	// rounds see the same machine conditions, so the cross-engine delta
-	// survives background load that an engine-major sweep would fold
-	// into the comparison.
-	const rounds, reps = 8, 2
-	engines := make(map[string]engine.Engine, 2)
-	for _, name := range []string{"switch", "compiled"} {
-		e, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("engine %q not registered", name)
-		}
-		engines[name] = e
-	}
-	for _, w := range paperWorkloads {
-		p := benchProgram(t, w)
-		run := func(name string) int64 {
-			m := interp.NewMachine(p)
-			if err := engines[name].Run(m); err != nil {
-				t.Fatalf("%s/%s: %v", name, w, err)
-			}
-			return m.Steps
-		}
-		steps := run("switch") // warm: artifact compilation, analysis cache
-		run("compiled")
-
-		for _, par := range []bool{false, true} {
-			procs, workers := 1, 1
-			if par {
-				procs, workers = runtime.NumCPU(), runtime.NumCPU()
-			}
-			prev := runtime.GOMAXPROCS(procs)
-			best := map[string]time.Duration{}
-			for r := 0; r < rounds; r++ {
-				for _, name := range []string{"switch", "compiled"} {
-					start := time.Now()
-					var wg sync.WaitGroup
-					for g := 0; g < workers; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := 0; i < reps; i++ {
-								run(name)
-							}
-						}()
-					}
-					wg.Wait()
-					elapsed := time.Since(start)
-					if b, ok := best[name]; !ok || elapsed < b {
-						best[name] = elapsed
-					}
-				}
-			}
-			runtime.GOMAXPROCS(prev)
-			for _, name := range []string{"switch", "compiled"} {
-				elapsed := best[name]
-				total := steps * reps * int64(workers)
-				rep.Points = append(rep.Points, benchPR7Point{
-					enginePoint: enginePoint{
-						Engine:      name,
-						Workload:    w,
-						Runs:        reps * workers,
-						Steps:       steps,
-						Seconds:     elapsed.Seconds(),
-						StepsPerSec: float64(total) / elapsed.Seconds(),
-						NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-					},
-					GoMaxProcs: procs,
-					Goroutines: workers,
-				})
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

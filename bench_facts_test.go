@@ -1,25 +1,18 @@
 package stackcache
 
-// Elision benchmark: every registered engine over a proved workload,
-// once with analysis facts attached (the check-elided fast path) and
-// once with the elision kill switch thrown (vm.NoFacts, the checked
-// path). The wall-clock companion to the elision differential tests in
+// Elision benchmark: every registered engine over the paper's four
+// workloads plus sieve, once with analysis facts attached (the
+// check-elided fast path, where the engine keeps one) and once with
+// the elision kill switch thrown (vm.NoFacts, the checked path). The
+// wall-clock companion to the elision differential tests in
 // facts_test.go: those prove the two paths are observably identical,
-// this measures what the proof buys.
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR5 .
-//
-// re-measures the sweep and rewrites BENCH_PR5.json at the repository
-// root (same schema as BENCH_PR4.json, two points per engine).
+// this measures what the proof buys. The recursive gray workload is
+// not depth-provable, so its two modes both run the checked path — an
+// A/A control kept in the sweep. BENCH_PR5.json at the repository
+// root records an earlier sieve-only run.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/interp"
@@ -27,108 +20,34 @@ import (
 )
 
 func BenchmarkElision(b *testing.B) {
-	p := benchProgram(b, "sieve")
-	if !engine.FactsFor(p).Proved {
-		b.Fatal("sieve unproven; elision benchmark needs a proved workload")
-	}
-	for _, e := range engine.All() {
-		for _, mode := range []string{"elided", "checked"} {
-			spec := interp.ExecSpec{}
-			if mode == "checked" {
-				spec.Facts = vm.NoFacts
-			}
-			b.Run(e.Name()+"/"+mode, func(b *testing.B) {
-				var steps int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m := interp.NewMachine(p)
-					if err := m.ApplySpec(spec); err != nil {
-						b.Fatal(err)
+	for _, w := range append([]string{"sieve"}, paperWorkloads...) {
+		p := benchProgram(b, w)
+		if w != "gray" && !engine.FactsFor(p).Proved {
+			b.Fatalf("%s unproven; the elision benchmark needs it proved", w)
+		}
+		for _, e := range engine.All() {
+			for _, mode := range []string{"elided", "checked"} {
+				spec := interp.ExecSpec{}
+				if mode == "checked" {
+					spec.Facts = vm.NoFacts
+				}
+				b.Run(w+"/"+e.Name()+"/"+mode, func(b *testing.B) {
+					var steps int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						m := interp.NewMachine(p)
+						if err := m.ApplySpec(spec); err != nil {
+							b.Fatal(err)
+						}
+						if err := e.Run(m); err != nil {
+							b.Fatal(err)
+						}
+						steps = m.Steps
 					}
-					if err := e.Run(m); err != nil {
-						b.Fatal(err)
-					}
-					steps = m.Steps
-				}
-				reportPerInst(b, steps)
-				b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
-}
-
-// TestWriteBenchPR5 regenerates BENCH_PR5.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses and has
-// one elided plus one checked point per registered engine.
-func TestWriteBenchPR5(t *testing.T) {
-	const path = "BENCH_PR5.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR4Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR5.json is invalid: %v", err)
-		}
-		if len(rep.Points) != 2*len(engine.Names()) {
-			t.Fatalf("committed BENCH_PR5.json has %d points, want 2 per engine (%d)",
-				len(rep.Points), 2*len(engine.Names()))
-		}
-		return
-	}
-
-	p := benchProgram(t, "sieve")
-	if !engine.FactsFor(p).Proved {
-		t.Fatal("sieve unproven; elision benchmark needs a proved workload")
-	}
-	rep := benchPR4Report{
-		Bench: "elision",
-		Description: "fixed-work sieve runs per registered engine, facts " +
-			"attached (check-elided fast path) vs vm.NoFacts (checked path)",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	const runs = 20
-	for _, e := range engine.All() {
-		for _, mode := range []string{"elided", "checked"} {
-			spec := interp.ExecSpec{}
-			if mode == "checked" {
-				spec.Facts = vm.NoFacts
+					reportPerInst(b, steps)
+					b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+				})
 			}
-			run := func() int64 {
-				m := interp.NewMachine(p)
-				if err := m.ApplySpec(spec); err != nil {
-					t.Fatalf("%s/%s: %v", e.Name(), mode, err)
-				}
-				if err := e.Run(m); err != nil {
-					t.Fatalf("%s/%s: %v", e.Name(), mode, err)
-				}
-				return m.Steps
-			}
-			steps := run() // warm run: plan compilation, analysis cache
-			start := time.Now()
-			for i := 0; i < runs; i++ {
-				run()
-			}
-			elapsed := time.Since(start)
-			total := steps * runs
-			rep.Points = append(rep.Points, enginePoint{
-				Engine:      e.Name(),
-				Workload:    "sieve/" + mode,
-				Runs:        runs,
-				Steps:       steps,
-				Seconds:     elapsed.Seconds(),
-				StepsPerSec: float64(total) / elapsed.Seconds(),
-				NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-			})
 		}
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

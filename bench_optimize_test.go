@@ -10,23 +10,11 @@ package stackcache
 // any timing. The recursive gray workload is not depth-provable, so
 // its "optimized" form is the unchanged source program — an honest A/A
 // cell kept in the sweep so the report shows where the Proved gate
-// declines.
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR10 .
-//
-// re-measures the sweep and rewrites BENCH_PR10.json at the repository
-// root, at both concurrency points (single goroutine at GOMAXPROCS=1,
-// NumCPU goroutines at GOMAXPROCS=NumCPU).
+// declines. BENCH_PR10.json at the repository root records an earlier
+// interleaved A/B of the same cells.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/interp"
@@ -85,159 +73,4 @@ func BenchmarkOptimizedVsUnoptimized(b *testing.B) {
 			}
 		}
 	}
-}
-
-// benchPR10Point is enginePoint plus the program form and concurrency
-// coordinates. Steps is the FORM's own step count: optimized points
-// carry fewer steps than their source siblings, and StepsPerSec rates
-// each form against its own work.
-type benchPR10Point struct {
-	enginePoint
-	Optimized  bool `json:"optimized"`
-	Changed    bool `json:"changed"`
-	GoMaxProcs int  `json:"gomaxprocs"`
-	Goroutines int  `json:"goroutines"`
-}
-
-type benchPR10Report struct {
-	Bench       string           `json:"bench"`
-	Description string           `json:"description"`
-	NumCPU      int              `json:"numcpu"`
-	Points      []benchPR10Point `json:"points"`
-}
-
-// TestWriteBenchPR10 regenerates BENCH_PR10.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses, covers
-// every engine × workload × form × concurrency cell, and shows at
-// least one optimizer win in wall-clock per source step.
-func TestWriteBenchPR10(t *testing.T) {
-	const path = "BENCH_PR10.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR10Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR10.json is invalid: %v", err)
-		}
-		if want := len(optimizeBenchEngines) * len(paperWorkloads) * 2 * 2; len(rep.Points) != want {
-			t.Fatalf("committed BENCH_PR10.json has %d points, want %d "+
-				"(%d engines x %d workloads x 2 forms x 2 concurrency points)",
-				len(rep.Points), want, len(optimizeBenchEngines), len(paperWorkloads))
-		}
-		// The acceptance claim: at least one optimized cell finishes its
-		// workload faster than its source sibling.
-		win := false
-		for _, pt := range rep.Points {
-			if !pt.Optimized || !pt.Changed {
-				continue
-			}
-			for _, src := range rep.Points {
-				if !src.Optimized && src.Engine == pt.Engine && src.Workload == pt.Workload &&
-					src.GoMaxProcs == pt.GoMaxProcs && pt.Seconds < src.Seconds {
-					win = true
-				}
-			}
-		}
-		if !win {
-			t.Error("committed BENCH_PR10.json shows no optimized cell beating its source sibling")
-		}
-		return
-	}
-
-	rep := benchPR10Report{
-		Bench: "optimized-vs-unoptimized",
-		Description: "fixed-work paper-workload runs, validator-certified optimized bytecode " +
-			"vs the same program unoptimized, per engine; the two forms are measured in " +
-			"tightly interleaved rounds (best round kept) so machine drift cannot bias the " +
-			"comparison; optimized forms execute fewer steps by design, so each point " +
-			"records its own step count and seconds is the fixed-workload wall clock to " +
-			"compare; gray is recursive, not depth-provable, and its optimized form is " +
-			"unchanged (changed=false); single goroutine at GOMAXPROCS=1 and NumCPU " +
-			"goroutines at GOMAXPROCS=NumCPU",
-		NumCPU: runtime.NumCPU(),
-	}
-	const rounds, reps = 8, 2
-	for _, name := range optimizeBenchEngines {
-		e, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("engine %q not registered", name)
-		}
-		for _, w := range paperWorkloads {
-			p := benchProgram(t, w)
-			o, changed := optimizedProgram(t, p)
-			forms := map[bool]*vm.Program{false: p, true: o}
-			run := func(prog *vm.Program) int64 {
-				m := interp.NewMachine(prog)
-				if err := e.Run(m); err != nil {
-					t.Fatalf("%s/%s: %v", name, w, err)
-				}
-				return m.Steps
-			}
-			steps := map[bool]int64{false: run(p), true: run(o)}
-			if steps[true] > steps[false] {
-				t.Fatalf("%s/%s: optimized ran %d steps, source %d — validator promises no more",
-					name, w, steps[true], steps[false])
-			}
-
-			for _, par := range []bool{false, true} {
-				procs, workers := 1, 1
-				if par {
-					procs, workers = runtime.NumCPU(), runtime.NumCPU()
-				}
-				prev := runtime.GOMAXPROCS(procs)
-				best := map[bool]time.Duration{}
-				for r := 0; r < rounds; r++ {
-					for _, optimized := range []bool{false, true} {
-						prog := forms[optimized]
-						start := time.Now()
-						var wg sync.WaitGroup
-						for g := 0; g < workers; g++ {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for i := 0; i < reps; i++ {
-									run(prog)
-								}
-							}()
-						}
-						wg.Wait()
-						elapsed := time.Since(start)
-						if b, ok := best[optimized]; !ok || elapsed < b {
-							best[optimized] = elapsed
-						}
-					}
-				}
-				runtime.GOMAXPROCS(prev)
-				for _, optimized := range []bool{false, true} {
-					elapsed := best[optimized]
-					total := steps[optimized] * reps * int64(workers)
-					rep.Points = append(rep.Points, benchPR10Point{
-						enginePoint: enginePoint{
-							Engine:      name,
-							Workload:    w,
-							Runs:        reps * workers,
-							Steps:       steps[optimized],
-							Seconds:     elapsed.Seconds(),
-							StepsPerSec: float64(total) / elapsed.Seconds(),
-							NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-						},
-						Optimized:  optimized,
-						Changed:    optimized && changed,
-						GoMaxProcs: procs,
-						Goroutines: workers,
-					})
-				}
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -6,23 +6,11 @@ package stackcache
 // interleaved A/B rounds (best round kept), so machine drift cannot
 // bias the comparison; the step counts of the two forms are asserted
 // identical before timing, because quickening must buy dispatches,
-// never observable steps.
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR8 .
-//
-// re-measures the sweep and rewrites BENCH_PR8.json at the repository
-// root, at both concurrency points (single goroutine at GOMAXPROCS=1,
-// NumCPU goroutines at GOMAXPROCS=NumCPU).
+// never observable steps. BENCH_PR8.json at the repository root
+// records an earlier interleaved A/B of the same cells.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/interp"
@@ -77,135 +65,4 @@ func BenchmarkQuickenedVsUnquickened(b *testing.B) {
 			}
 		}
 	}
-}
-
-// benchPR8Point is enginePoint plus the program form and concurrency
-// coordinates.
-type benchPR8Point struct {
-	enginePoint
-	Quickened  bool `json:"quickened"`
-	GoMaxProcs int  `json:"gomaxprocs"`
-	Goroutines int  `json:"goroutines"`
-}
-
-type benchPR8Report struct {
-	Bench       string          `json:"bench"`
-	Description string          `json:"description"`
-	NumCPU      int             `json:"numcpu"`
-	Points      []benchPR8Point `json:"points"`
-}
-
-// TestWriteBenchPR8 regenerates BENCH_PR8.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses and
-// covers every engine × workload × form × concurrency cell.
-func TestWriteBenchPR8(t *testing.T) {
-	const path = "BENCH_PR8.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR8Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR8.json is invalid: %v", err)
-		}
-		if want := len(quickenBenchEngines) * len(paperWorkloads) * 2 * 2; len(rep.Points) != want {
-			t.Fatalf("committed BENCH_PR8.json has %d points, want %d "+
-				"(%d engines x %d workloads x 2 forms x 2 concurrency points)",
-				len(rep.Points), want, len(quickenBenchEngines), len(paperWorkloads))
-		}
-		return
-	}
-
-	rep := benchPR8Report{
-		Bench: "quickened-vs-unquickened",
-		Description: "fixed-work paper-workload runs, cache-time quickened bytecode " +
-			"vs the same program unquickened, per dispatching engine; the two forms " +
-			"are measured in tightly interleaved rounds (best round kept) so machine " +
-			"drift cannot bias the comparison; step counts are identical by contract " +
-			"(asserted before timing); single goroutine at GOMAXPROCS=1 and NumCPU " +
-			"goroutines at GOMAXPROCS=NumCPU",
-		NumCPU: runtime.NumCPU(),
-	}
-	const rounds, reps = 8, 2
-	for _, name := range quickenBenchEngines {
-		e, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("engine %q not registered", name)
-		}
-		for _, w := range paperWorkloads {
-			p := benchProgram(t, w)
-			q := quickenedProgram(t, p)
-			forms := map[bool]*vm.Program{false: p, true: q}
-			run := func(prog *vm.Program) int64 {
-				m := interp.NewMachine(prog)
-				if err := e.Run(m); err != nil {
-					t.Fatalf("%s/%s: %v", name, w, err)
-				}
-				return m.Steps
-			}
-			steps := run(p)
-			if qs := run(q); qs != steps {
-				t.Fatalf("%s/%s: quickened ran %d steps, unquickened %d — the contract is broken",
-					name, w, qs, steps)
-			}
-
-			for _, par := range []bool{false, true} {
-				procs, workers := 1, 1
-				if par {
-					procs, workers = runtime.NumCPU(), runtime.NumCPU()
-				}
-				prev := runtime.GOMAXPROCS(procs)
-				best := map[bool]time.Duration{}
-				for r := 0; r < rounds; r++ {
-					for _, quickened := range []bool{false, true} {
-						prog := forms[quickened]
-						start := time.Now()
-						var wg sync.WaitGroup
-						for g := 0; g < workers; g++ {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for i := 0; i < reps; i++ {
-									run(prog)
-								}
-							}()
-						}
-						wg.Wait()
-						elapsed := time.Since(start)
-						if b, ok := best[quickened]; !ok || elapsed < b {
-							best[quickened] = elapsed
-						}
-					}
-				}
-				runtime.GOMAXPROCS(prev)
-				for _, quickened := range []bool{false, true} {
-					elapsed := best[quickened]
-					total := steps * reps * int64(workers)
-					rep.Points = append(rep.Points, benchPR8Point{
-						enginePoint: enginePoint{
-							Engine:      name,
-							Workload:    w,
-							Runs:        reps * workers,
-							Steps:       steps,
-							Seconds:     elapsed.Seconds(),
-							StepsPerSec: float64(total) / elapsed.Seconds(),
-							NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-						},
-						Quickened:  quickened,
-						GoMaxProcs: procs,
-						Goroutines: workers,
-					})
-				}
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -3,21 +3,11 @@ package stackcache
 // Registry-driven per-engine benchmark: every registered engine over
 // the same workload through the uniform Engine interface, the
 // wall-clock companion to the differential tests. Registering a new
-// engine adds a sub-benchmark with zero edits.
-//
-// Running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR4 .
-//
-// re-measures a short fixed-work sweep of every engine and rewrites
-// BENCH_PR4.json at the repository root.
+// engine adds a sub-benchmark with zero edits. BENCH_PR4.json at the
+// repository root records an earlier fixed-work run of this sweep.
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/interp"
@@ -40,86 +30,4 @@ func BenchmarkEngineRegistry(b *testing.B) {
 			b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 		})
 	}
-}
-
-type enginePoint struct {
-	Engine      string  `json:"engine"`
-	Workload    string  `json:"workload"`
-	Runs        int     `json:"runs"`
-	Steps       int64   `json:"steps_per_run"`
-	Seconds     float64 `json:"seconds"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	NsPerInst   float64 `json:"ns_per_inst"`
-}
-
-type benchPR4Report struct {
-	Bench       string        `json:"bench"`
-	Description string        `json:"description"`
-	GoMaxProcs  int           `json:"gomaxprocs"`
-	Points      []enginePoint `json:"points"`
-}
-
-// TestWriteBenchPR4 regenerates BENCH_PR4.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses.
-func TestWriteBenchPR4(t *testing.T) {
-	const path = "BENCH_PR4.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchPR4Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR4.json is invalid: %v", err)
-		}
-		if len(rep.Points) != len(engine.Names()) {
-			t.Fatalf("committed BENCH_PR4.json has %d points, registry has %d engines",
-				len(rep.Points), len(engine.Names()))
-		}
-		return
-	}
-
-	p := benchProgram(t, "fib")
-	rep := benchPR4Report{
-		Bench: "engine-registry",
-		Description: "fixed-work fib runs per registered engine through the " +
-			"uniform Engine interface (engine.All)",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	const runs = 20
-	for _, e := range engine.All() {
-		// One warm run per engine (static plan compilation, transition
-		// tables) before the timed runs.
-		m := interp.NewMachine(p)
-		if err := e.Run(m); err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		steps := m.Steps
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			m := interp.NewMachine(p)
-			if err := e.Run(m); err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
-			}
-		}
-		elapsed := time.Since(start)
-		total := steps * runs
-		rep.Points = append(rep.Points, enginePoint{
-			Engine:      e.Name(),
-			Workload:    "fib",
-			Runs:        runs,
-			Steps:       steps,
-			Seconds:     elapsed.Seconds(),
-			StepsPerSec: float64(total) / elapsed.Seconds(),
-			NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-		})
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

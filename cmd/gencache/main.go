@@ -6,6 +6,10 @@
 // The checked-in internal/gendyn package was produced by:
 //
 //	gencache -pkg gendyn -regs 6 -overflow 5 -o internal/gendyn/gendyn.go
+//
+// It is the only checked-in configuration. The generator's own tests
+// build a second one (4 registers, overflow followup 3) on the fly and
+// run internal/gendyn's shape-agnostic tests against it.
 package main
 
 import (

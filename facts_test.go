@@ -1,7 +1,8 @@
 package stackcache
 
 // Cross-engine differential tests for check elision: a proved program
-// runs each engine's check-elided fast path, and that path must be
+// runs each engine's check-elided fast path (engines without one run
+// their checked code either way), and that path must be
 // observably indistinguishable from the fully checked one. The elision
 // kill switch (vm.NoFacts pinned through ExecSpec.Facts) runs the same
 // engine's checked path over the same program, so each engine is
@@ -71,9 +72,7 @@ func TestWorkloadsProved(t *testing.T) {
 // snapshots. The set includes fib, so the unproven path (where both
 // runs are checked) rides along as a control. The full-size workloads
 // matter here, not just the micros: their deep stacks drive the
-// cache-overflow spill transitions in the generated engines, where a
-// Go 1.24 optimizer bug once corrupted sp in the check-elided copy
-// (see internal/gen's spill method) — the micros never spill.
+// cache-overflow spill transitions the micros never reach.
 func TestElisionDifferentialAllEngines(t *testing.T) {
 	for _, w := range workloads.All() {
 		p, err := w.Compile()

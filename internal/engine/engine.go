@@ -2,8 +2,8 @@
 // the repository: the baseline dispatch techniques (internal/interp),
 // the dynamic stack-caching organizations (internal/dyncache), the
 // static stack-caching compiler/executor (internal/statcache) and the
-// generated per-state interpreters (internal/gendyn, internal/gendyn4)
-// all register here behind one interface.
+// generated per-state interpreter (internal/gendyn) all register here
+// behind one interface.
 //
 // The paper's whole method (§2.1, §4–5) is comparing interchangeable
 // engine variants over identical machine semantics; this package is

@@ -27,8 +27,8 @@ func compile(t *testing.T, src string) *vm.Program {
 func TestRegistryCompleteness(t *testing.T) {
 	want := []string{
 		"switch",
-		"compiled", "dynamic", "gendyn", "gendyn4", "rotating",
-		"static", "threaded", "token", "traced", "twostacks",
+		"compiled", "dynamic", "gendyn", "rotating", "static",
+		"threaded", "token", "traced", "twostacks",
 	}
 	got := Names()
 	if len(got) != len(want) {

@@ -12,7 +12,6 @@ import (
 	"stackcache/internal/core"
 	"stackcache/internal/dyncache"
 	"stackcache/internal/gendyn"
-	"stackcache/internal/gendyn4"
 	"stackcache/internal/interp"
 	"stackcache/internal/statcache"
 	"stackcache/internal/vm"
@@ -29,7 +28,6 @@ func init() {
 	Register("twostacks", func(p Policies) Engine { return twoStacksEngine{p.TwoStacks} })
 	Register("static", func(p Policies) Engine { return &staticEngine{pol: p.Static} })
 	Register("gendyn", func(Policies) Engine { return &runFunc{"gendyn", gendyn.Run} })
-	Register("gendyn4", func(Policies) Engine { return &runFunc{"gendyn4", gendyn4.Run} })
 }
 
 // runFunc adapts a plain run function (the baseline interpreters and

@@ -18,8 +18,6 @@ import (
 	"bytes"
 	"fmt"
 	"go/format"
-	"sort"
-	"strings"
 
 	"stackcache/internal/vm"
 )
@@ -34,7 +32,7 @@ func DynamicInterp(pkg string, nregs, overflowTo int) ([]byte, error) {
 	if overflowTo < 1 || overflowTo > nregs {
 		return nil, fmt.Errorf("gen: overflowTo %d out of range [1,%d]", overflowTo, nregs)
 	}
-	g := &generator{n: nregs, f: overflowTo, spills: map[int]bool{}}
+	g := &generator{n: nregs, f: overflowTo}
 	g.file(pkg)
 	src, err := format.Source(g.buf.Bytes())
 	if err != nil {
@@ -44,11 +42,9 @@ func DynamicInterp(pkg string, nregs, overflowTo int) ([]byte, error) {
 }
 
 type generator struct {
-	buf    bytes.Buffer
-	n      int          // cache registers
-	f      int          // overflow followup state
-	elide  bool         // current function omits stack bounds checks
-	spills map[int]bool // outlined spill sizes used by the elided variant
+	buf bytes.Buffer
+	n   int // cache registers
+	f   int // overflow followup state
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -85,55 +81,13 @@ func (g *generator) file(pkg string) {
 	g.p("")
 	g.p("// Run executes m's program with one interpreter copy per cache")
 	g.p("// state. Cached stack items live in the locals r0..r%d.", g.n-1)
-	g.p("// Programs whose stack-depth bounds are proved (the machine's")
-	g.p("// ElideChecks gate) run the copy with no stack bounds checks.")
+	g.fn()
+}
+
+// fn emits Run: the full interpreter copy set (all cache states) as
+// one function.
+func (g *generator) fn() {
 	g.p("func Run(m *interp.Machine) error {")
-	g.p("if m.ElideChecks() { return runFast(m) }")
-	g.p("return runChecked(m)")
-	g.p("}")
-	g.p("")
-	g.fn("runChecked", false)
-	g.fn("runFast", true)
-	g.spillHelpers()
-}
-
-// spillHelpers emits the outlined register-spill functions the
-// check-elided variant calls on overflow transitions; see the
-// generator's spill method for why these must not be inlined.
-func (g *generator) spillHelpers() {
-	sizes := make([]int, 0, len(g.spills))
-	for s := range g.spills {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-	for _, s := range sizes {
-		params := make([]string, s)
-		for i := range params {
-			params[i] = fmt.Sprintf("v%d", i)
-		}
-		g.p("// spill%d copies the %d deepest cached registers to the memory", s, s)
-		g.p("// stack. The noinline directive is load-bearing: inlined back into")
-		g.p("// runFast, the spill miscompiles under the Go 1.24 optimizer.")
-		g.p("//")
-		g.p("//go:noinline")
-		g.p("func spill%d(st []vm.Cell, sp int, %s vm.Cell) int {", s, strings.Join(params, ", "))
-		for i, p := range params {
-			g.p("st[sp+%d] = %s", i, p)
-		}
-		g.p("return sp + %d", s)
-		g.p("}")
-		g.p("")
-	}
-}
-
-// fn emits one full interpreter copy set (all cache states) as a
-// function. With elide set, every data-/return-stack bounds check is
-// omitted — callers guarantee the analysis proof holds; everything
-// else (pc range, step limit, division, memory, output, invalid
-// opcode) is emitted identically in both variants.
-func (g *generator) fn(name string, elide bool) {
-	g.elide = elide
-	g.p("func %s(m *interp.Machine) error {", name)
 	g.p("code := m.Prog.Code")
 	g.p("st := m.Stack")
 	g.p("rs := m.RSt")
@@ -171,10 +125,6 @@ func (g *generator) fn(name string, elide bool) {
 		g.failLabel(c)
 		g.haltLabel(c)
 	}
-	// reenter: after a generic spill-everything operation, jump to the
-	// state matching min(sp-backed reload, 0) — we always reenter
-	// empty, so this is just state0; kept as a labelled point for the
-	// generated structure's readability.
 	g.p("}")
 	g.p("")
 }

@@ -96,23 +96,17 @@ func (g *generator) opcode(c int, op vm.Opcode) {
 
 	case vm.OpToR:
 		args, rem := g.args(c, 1)
-		if !g.elide {
-			g.p("if rp == len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack overflow", rem)
-		}
+		g.p("if rp == len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack overflow", rem)
 		g.p("rs[rp] = %s", args[0])
 		g.p("rp++")
 		g.p("pc++")
 		g.gotoState(rem)
 	case vm.OpRFrom:
-		if !g.elide {
-			g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.p("rp--")
 		g.push(c, "rs[rp]")
 	case vm.OpRFetch:
-		if !g.elide {
-			g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.push(c, "rs[rp-1]")
 
 	case vm.OpFetch:
@@ -152,17 +146,13 @@ func (g *generator) opcode(c int, op vm.Opcode) {
 		g.p("if %s == 0 { pc = int(ins.Arg) } else { pc++ }", args[0])
 		g.gotoState(rem)
 	case vm.OpCall:
-		if !g.elide {
-			g.p("if rp == len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack overflow", c)
-		}
+		g.p("if rp == len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack overflow", c)
 		g.p("rs[rp] = vm.Cell(pc + 1)")
 		g.p("rp++")
 		g.p("pc = int(ins.Arg)")
 		g.gotoState(c)
 	case vm.OpExit:
-		if !g.elide {
-			g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.p("rp--")
 		g.p("pc = int(rs[rp])")
 		g.gotoState(c)
@@ -171,45 +161,31 @@ func (g *generator) opcode(c int, op vm.Opcode) {
 
 	case vm.OpDo:
 		g.consume2(c, func(a, b string, rem int) string {
-			var sb strings.Builder
-			if !g.elide {
-				fmt.Fprintf(&sb, "if rp+2 > len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }\n",
-					"return stack overflow", rem)
-			}
-			fmt.Fprintf(&sb, "rs[rp] = %s\nrs[rp+1] = %s\nrp += 2", a, b)
-			return sb.String()
+			return fmt.Sprintf(
+				"if rp+2 > len(rs) { errOp, errMsg = ins.Op, %q; goto fail%d }\nrs[rp] = %s\nrs[rp+1] = %s\nrp += 2",
+				"return stack overflow", rem, a, b)
 		})
 	case vm.OpLoop:
-		if !g.elide {
-			g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.p("rs[rp-1]++")
 		g.p("if rs[rp-1] == rs[rp-2] { rp -= 2; pc++ } else { pc = int(ins.Arg) }")
 		g.gotoState(c)
 	case vm.OpPlusLoop:
 		args, rem := g.args(c, 1)
-		if !g.elide {
-			g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", rem)
-		}
+		g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", rem)
 		g.p("t0 = rs[rp-1] - rs[rp-2]")
 		g.p("rs[rp-1] += %s", args[0])
 		g.p("t1 = rs[rp-1] - rs[rp-2]")
 		g.p("if (t0 < 0) != (t1 < 0) { rp -= 2; pc++ } else { pc = int(ins.Arg) }")
 		g.gotoState(rem)
 	case vm.OpI:
-		if !g.elide {
-			g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 1 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.push(c, "rs[rp-1]")
 	case vm.OpJ:
-		if !g.elide {
-			g.p("if rp < 3 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 3 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.push(c, "rs[rp-3]")
 	case vm.OpUnloop:
-		if !g.elide {
-			g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
-		}
+		g.p("if rp < 2 { errOp, errMsg = ins.Op, %q; goto fail%d }", "return stack underflow", c)
 		g.p("rp -= 2")
 		g.p("pc++")
 		g.gotoState(c)
@@ -249,9 +225,7 @@ func (g *generator) opcode(c int, op vm.Opcode) {
 		} else {
 			f := g.f
 			s := c + 1 - f
-			if !g.elide {
-				g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", c)
-			}
+			g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", c)
 			g.spill(s)
 			for i := 0; i < c-s; i++ {
 				g.p("%s = %s", reg(i), reg(i+s))
@@ -271,13 +245,13 @@ func (g *generator) opcode(c int, op vm.Opcode) {
 // borrow and the combined rise fits the register file. In exactly
 // those states the baseline constituent-by-constituent execution never
 // touches the memory stack either, so the fused path needs no stack
-// bounds checks even in the checked variant — the guards that remain
-// are the step budget (one step per constituent), the code tail
-// matching the expansion, and memory-range pre-checks before any
-// commit. In every other state, or when any guard fails, the case
-// de-fuses: ins is canonicalized to the first constituent and its
-// ordinary body runs, leaving the in-place tail to replay baseline
-// execution (and report baseline errors) exactly.
+// bounds checks — the guards that remain are the step budget (one step
+// per constituent), the code tail matching the expansion, and
+// memory-range pre-checks before any commit. In every other state, or
+// when any guard fails, the case de-fuses: ins is canonicalized to the
+// first constituent and its ordinary body runs, leaving the in-place
+// tail to replay baseline execution (and report baseline errors)
+// exactly.
 func (g *generator) super(c int, op vm.Opcode) {
 	seq := vm.Expansion(op)
 	n := len(seq)
@@ -390,25 +364,8 @@ func (g *generator) superBody(c int, op vm.Opcode, n int) {
 func (g *generator) gotoState(c int) { g.p("goto state%d", c) }
 
 // spill emits the copy of the s deepest cached registers to the memory
-// stack. In the checked variant the writes are inline, guarded by the
-// overflow check the caller just emitted. In the check-elided variant
-// the same inline writes miscompile under the Go 1.24 optimizer — with
-// the guarding branch gone, sp itself gets clobbered with a jump-table
-// address across the spill+goto, the same bug family documented at
-// OpDepth (verified against -gcflags='-N -l'). The workaround is to
-// outline the spill into a //go:noinline helper: the call boundary
-// pins sp's value, and it sits only on overflow transitions, never in
-// a state's steady-state path.
+// stack, guarded by the overflow check the caller just emitted.
 func (g *generator) spill(s int) {
-	if g.elide {
-		args := make([]string, s)
-		for i := range args {
-			args[i] = reg(i)
-		}
-		g.spills[s] = true
-		g.p("sp = spill%d(st, sp, %s)", s, strings.Join(args, ", "))
-		return
-	}
 	for i := 0; i < s; i++ {
 		g.p("st[sp+%d] = %s", i, reg(i))
 	}
@@ -435,9 +392,7 @@ func (g *generator) args(c, in int) ([]string, int) {
 		missing = 0
 	}
 	if missing > 0 {
-		if !g.elide {
-			g.p("if sp < %d { errOp, errMsg = ins.Op, %q; goto fail%d }", missing, "stack underflow", c)
-		}
+		g.p("if sp < %d { errOp, errMsg = ins.Op, %q; goto fail%d }", missing, "stack underflow", c)
 		g.p("sp -= %d", missing)
 	}
 	exprs := make([]string, in)
@@ -474,9 +429,7 @@ func (g *generator) place(rem int, outs []string) {
 		f = len(outs)
 	}
 	s := m - f
-	if !g.elide {
-		g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", rem)
-	}
+	g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", rem)
 	g.spill(s)
 	for i := 0; i < rem-s; i++ {
 		g.p("%s = %s", reg(i), reg(i+s))
@@ -502,9 +455,7 @@ func (g *generator) unary(c int, exprFmt string) {
 		g.gotoState(c)
 		return
 	}
-	if !g.elide {
-		g.p("if sp < 1 { errOp, errMsg = ins.Op, %q; goto fail0 }", "stack underflow")
-	}
+	g.p("if sp < 1 { errOp, errMsg = ins.Op, %q; goto fail0 }", "stack underflow")
 	g.p("sp--")
 	g.place(0, []string{fmt.Sprintf(exprFmt, "st[sp]")})
 }
@@ -519,9 +470,7 @@ func (g *generator) unaryStmt(c int, body func(r string) string) {
 		return
 	}
 	// Load the argument into r0 first; the result stays there.
-	if !g.elide {
-		g.p("if sp < 1 { errOp, errMsg = ins.Op, %q; goto fail0 }", "stack underflow")
-	}
+	g.p("if sp < 1 { errOp, errMsg = ins.Op, %q; goto fail0 }", "stack underflow")
 	g.p("sp--")
 	g.p("r0 = st[sp]")
 	g.p("%s", body("r0"))
@@ -592,9 +541,7 @@ func (g *generator) manip(c int, eff vm.Effect) {
 		f = eff.Out
 	}
 	s := m - f
-	if !g.elide {
-		g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", c)
-	}
+	g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail%d }", s, "stack overflow", c)
 	g.spill(s)
 	for i := 0; i < c-s; i++ {
 		g.p("%s = %s", reg(i), reg(i+s))
@@ -633,9 +580,7 @@ func (g *generator) failLabel(c int) {
 func (g *generator) haltLabel(c int) {
 	g.p("halt%d:", c)
 	if c > 0 {
-		if !g.elide {
-			g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail0 }", c, "stack overflow")
-		}
+		g.p("if sp+%d > len(st) { errOp, errMsg = ins.Op, %q; goto fail0 }", c, "stack overflow")
 		for i := 0; i < c; i++ {
 			g.p("st[sp+%d] = %s", i, reg(i))
 		}

@@ -11,7 +11,6 @@ import (
 	"stackcache/internal/gen"
 	"stackcache/internal/interp"
 	"stackcache/internal/vm"
-	"stackcache/internal/workloads"
 )
 
 // TestGeneratedSourceIsCurrent regenerates the interpreter and
@@ -29,45 +28,6 @@ func TestGeneratedSourceIsCurrent(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Error("gendyn.go is stale; regenerate with: " +
 			"go run ./cmd/gencache -pkg gendyn -regs 6 -overflow 5 -o internal/gendyn/gendyn.go")
-	}
-}
-
-func TestMatchesBaselineOnAllWorkloads(t *testing.T) {
-	for _, w := range workloads.All() {
-		p := w.MustCompile()
-		ref, err := interp.Run(p, interp.EngineSwitch)
-		if err != nil {
-			t.Fatalf("%s baseline: %v", w.Name, err)
-		}
-		m := interp.NewMachine(p)
-		if err := Run(m); err != nil {
-			t.Fatalf("%s gendyn: %v", w.Name, err)
-		}
-		if !ref.Snapshot().Equal(m.Snapshot()) {
-			t.Errorf("%s: generated interpreter disagrees with baseline\nwant %q\ngot  %q",
-				w.Name, ref.Out.String(), m.Out.String())
-		}
-		// The check-elided copy must agree too, on the full-size
-		// workloads especially: deep stacks drive the overflow spill
-		// transitions, where a Go 1.24 optimizer bug once corrupted sp
-		// in the elided variant (caught only by the big workloads — the
-		// micros never spill; see the generator's spill method).
-		facts := vm.Analyze(p)
-		if !facts.Proved {
-			continue
-		}
-		fm := interp.NewMachine(p)
-		fm.ApplySpec(interp.ExecSpec{Facts: facts})
-		if !fm.ElideChecks() {
-			t.Fatalf("%s: proved program did not enable elision", w.Name)
-		}
-		if err := Run(fm); err != nil {
-			t.Fatalf("%s gendyn elided: %v", w.Name, err)
-		}
-		if !ref.Snapshot().Equal(fm.Snapshot()) {
-			t.Errorf("%s: check-elided generated interpreter disagrees with baseline\nwant %q\ngot  %q",
-				w.Name, ref.Out.String(), fm.Out.String())
-		}
 	}
 }
 

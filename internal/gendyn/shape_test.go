@@ -1,11 +1,38 @@
 package gendyn
 
+// The tests in this file depend on the generated configuration only
+// through NRegs, so internal/gen also runs them against a second
+// shape (4 registers, overflow followup 3) built on the fly; keep
+// them shape-agnostic.
+
 import (
 	"testing"
 
 	"stackcache/internal/interp"
 	"stackcache/internal/vm"
+	"stackcache/internal/workloads"
 )
+
+// TestMatchesBaselineOnAllWorkloads compares the generated interpreter
+// with the switch baseline on every workload; the full-size ones drive
+// the overflow spill transitions the micros never reach.
+func TestMatchesBaselineOnAllWorkloads(t *testing.T) {
+	for _, w := range workloads.All() {
+		p := w.MustCompile()
+		ref, err := interp.Run(p, interp.EngineSwitch)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", w.Name, err)
+		}
+		m := interp.NewMachine(p)
+		if err := Run(m); err != nil {
+			t.Fatalf("%s gendyn: %v", w.Name, err)
+		}
+		if !ref.Snapshot().Equal(m.Snapshot()) {
+			t.Errorf("%s: generated interpreter disagrees with baseline\nwant %q\ngot  %q",
+				w.Name, ref.Out.String(), m.Out.String())
+		}
+	}
+}
 
 // TestExhaustiveStateOpcode runs every non-control opcode from every
 // initial stack depth 0..NRegs+2, so that every (cache state, opcode)

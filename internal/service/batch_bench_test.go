@@ -5,23 +5,14 @@ package service
 // machine setup, response assembly) dominates actual interpretation —
 // the serving-layer analog of the dispatch overhead the paper
 // amortizes with stack caching. Batch requests amortize it across N
-// inputs per worker pass.
-//
-// Besides the usual `go test -bench`, running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchBatchTrajectory ./internal/service
-//
-// re-measures the batched-vs-singleton sweep and rewrites
-// BENCH_PR6.json at the repository root.
+// inputs per worker pass. BENCH_PR6.json at the repository root
+// records an earlier batched-vs-singleton sweep.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"stackcache/internal/vm"
 )
@@ -104,86 +95,4 @@ func BenchmarkBatchVsSingleton(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inputs/s")
 		})
 	}
-}
-
-// batchBenchPoint is one row of BENCH_PR6.json: the same input stream
-// executed as singleton requests and as batches of Batch inputs.
-type batchBenchPoint struct {
-	Batch              int     `json:"batch_inputs"`
-	Inputs             int     `json:"total_inputs"`
-	SingletonInputsSec float64 `json:"singleton_inputs_per_sec"`
-	BatchInputsSec     float64 `json:"batch_inputs_per_sec"`
-	Speedup            float64 `json:"speedup"`
-}
-
-type batchBenchReport struct {
-	Bench       string            `json:"bench"`
-	Description string            `json:"description"`
-	GoMaxProcs  int               `json:"gomaxprocs"`
-	Workers     int               `json:"workers"`
-	Source      string            `json:"source"`
-	Points      []batchBenchPoint `json:"points"`
-}
-
-// TestWriteBenchBatchTrajectory regenerates BENCH_PR6.json when
-// WRITE_BENCH_JSON is set; otherwise it only checks that the committed
-// trajectory file parses.
-func TestWriteBenchBatchTrajectory(t *testing.T) {
-	const path = "../../BENCH_PR6.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep batchBenchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR6.json is invalid: %v", err)
-		}
-		if len(rep.Points) == 0 {
-			t.Fatal("committed BENCH_PR6.json has no points")
-		}
-		return
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	rep := batchBenchReport{
-		Bench: "batch-vs-singleton",
-		Description: "one sequential client executing the same small-program input " +
-			"stream as singleton /run requests vs. batch requests of N inputs " +
-			"through internal/service, compile-once cache warm",
-		GoMaxProcs: workers,
-		Workers:    workers,
-		Source:     benchBatchSource,
-	}
-	const totalInputs = 8192
-	for _, batch := range []int{4, 16, 64} {
-		s, err := New(Config{Workers: workers, QueueDepth: 1024, MaxBatchInputs: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := benchInputs(totalInputs)
-		runSingletons(t, s, inputs[:64]) // warm cache, pool and branch predictors
-		start := time.Now()
-		runSingletons(t, s, inputs)
-		singleSec := float64(totalInputs) / time.Since(start).Seconds()
-		start = time.Now()
-		runBatches(t, s, inputs, batch)
-		batchSec := float64(totalInputs) / time.Since(start).Seconds()
-		s.Close()
-		rep.Points = append(rep.Points, batchBenchPoint{
-			Batch:              batch,
-			Inputs:             totalInputs,
-			SingletonInputsSec: singleSec,
-			BatchInputsSec:     batchSec,
-			Speedup:            batchSec / singleSec,
-		})
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

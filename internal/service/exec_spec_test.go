@@ -7,7 +7,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -131,15 +130,22 @@ func TestStackCapLimitsResponses(t *testing.T) {
 	}
 }
 
-// TestPrometheusExposition drives some traffic and checks /metrics'
-// encoder emits parseable Prometheus text covering the counters the
-// JSON snapshot carries.
+// TestPrometheusExposition drives singleton, batch and failing traffic
+// over several engines and checks /metrics' encoder emits Prometheus
+// text that keeps the format's rules and carries a sample for every
+// counter the JSON snapshot carries.
 func TestPrometheusExposition(t *testing.T) {
 	s := mustService(t)
-	for _, e := range []string{"switch", "static"} {
+	engines := []string{"switch", "static", "compiled"}
+	for _, e := range engines {
 		if _, err := s.Run(context.Background(), Request{Source: addSource, Engine: e}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := s.Run(context.Background(), Request{
+		Source: ": main + . ;", Inputs: []Input{{Args: []int64{1, 2}}, {Args: []int64{3, 4}}},
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Run(context.Background(), Request{Source: spinSource, MaxSteps: 1000}); err == nil {
 		t.Fatal("spin run unexpectedly succeeded")
@@ -150,51 +156,9 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-
-	// Structural parse: every non-comment line is `name{labels} value`
-	// with a numeric value; TYPE lines declare only counter/gauge/
-	// histogram; HELP precedes each family's samples.
-	types := map[string]string{}
-	seen := map[string]bool{}
-	for ln, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if line == "" {
-			t.Fatalf("line %d: empty line in exposition", ln+1)
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Fatalf("line %d: malformed TYPE: %q", ln+1, line)
-			}
-			switch parts[3] {
-			case "counter", "gauge", "histogram":
-			default:
-				t.Fatalf("line %d: bad metric type %q", ln+1, parts[3])
-			}
-			types[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: unknown comment form: %q", ln+1, line)
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		var value float64
-		rest := line[strings.LastIndex(line, " ")+1:]
-		if _, err := fmt.Sscanf(rest, "%g", &value); err != nil {
-			t.Fatalf("line %d: unparseable sample %q: %v", ln+1, line, err)
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_count"), "_sum")
-		if _, ok := types[name]; !ok {
-			if _, ok := types[base]; !ok {
-				t.Fatalf("line %d: sample %q precedes its TYPE", ln+1, name)
-			}
-		}
-		seen[base] = true
+	fams, err := parseExposition(text)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
 	}
 
 	for _, want := range []string{
@@ -204,15 +168,31 @@ func TestPrometheusExposition(t *testing.T) {
 		"vmd_engine_steps_total", "vmd_exec_latency_seconds",
 		"vmd_batch_inputs_total", "vmd_batch_size",
 	} {
-		if !seen[want] && !seen[strings.TrimSuffix(want, "_total")] {
-			t.Errorf("metric family %s missing from exposition:\n%s", want, text)
+		if f := fams[want]; f == nil || len(f.samples) == 0 {
+			t.Errorf("metric family %s has no sample in exposition:\n%s", want, text)
+		}
+	}
+	for _, v := range conformance(fams) {
+		t.Error(v)
+	}
+	sums := map[string]float64{}
+	for _, smp := range fams["vmd_exec_latency_seconds"].samples {
+		if smp.name == "vmd_exec_latency_seconds_sum" {
+			sums[smp.labels["engine"]] = smp.value
+		}
+	}
+	for _, e := range engines {
+		if sums[e] <= 0 {
+			t.Errorf("engine %s: latency _sum %g, want > 0", e, sums[e])
 		}
 	}
 	for _, frag := range []string{
-		`vmd_results_total{class="ok"} 2`,
+		`vmd_results_total{class="ok"} 4`,
 		`vmd_results_total{class="limit"} 1`,
-		`vmd_engine_requests_total{engine="switch"} 2`,
+		`vmd_engine_requests_total{engine="switch"} 3`,
 		`vmd_engine_requests_total{engine="static"} 1`,
+		`vmd_engine_requests_total{engine="compiled"} 1`,
+		`vmd_batch_inputs_total 2`,
 		`le="+Inf"`,
 	} {
 		if !strings.Contains(text, frag) {

@@ -94,12 +94,14 @@ func BatchBucketBounds() [NumBatchBuckets]string {
 }
 
 // engineMetrics is the per-engine slice of the registry: request count,
-// cumulative executed steps, and a latency histogram. All fields are
-// updated with atomics; the struct is never copied while live.
+// cumulative executed steps, and a latency histogram with its sum. All
+// fields are updated with atomics; the struct is never copied while
+// live.
 type engineMetrics struct {
-	requests atomic.Int64
-	steps    atomic.Int64
-	buckets  [NumLatencyBuckets]atomic.Int64
+	requests  atomic.Int64
+	steps     atomic.Int64
+	buckets   [NumLatencyBuckets]atomic.Int64
+	latencyNs atomic.Int64 // sum of the observed latencies
 }
 
 // Metrics is the service's registry: lock-free counters every worker
@@ -193,6 +195,7 @@ func (m *Metrics) observeExec(engine string, steps int64, d time.Duration) {
 	em := m.engineMetricsFor(engine)
 	em.requests.Add(1)
 	em.steps.Add(steps)
+	em.latencyNs.Add(d.Nanoseconds())
 	us := d.Microseconds()
 	b := 0
 	if us > 0 {
@@ -214,9 +217,10 @@ func (m *Metrics) engineMetricsFor(engine string) *engineMetrics {
 
 // EngineSnapshot is the exported per-engine view.
 type EngineSnapshot struct {
-	Requests int64                    `json:"requests"`
-	Steps    int64                    `json:"steps"`
-	Latency  [NumLatencyBuckets]int64 `json:"latency_buckets"`
+	Requests     int64                    `json:"requests"`
+	Steps        int64                    `json:"steps"`
+	Latency      [NumLatencyBuckets]int64 `json:"latency_buckets"`
+	LatencySumNs int64                    `json:"latency_sum_ns"`
 }
 
 // Snapshot is a consistent-enough point-in-time copy of the registry
@@ -373,8 +377,9 @@ func (m *Metrics) snapshot() Snapshot {
 			return true
 		}
 		es := EngineSnapshot{
-			Requests: em.requests.Load(),
-			Steps:    em.steps.Load(),
+			Requests:     em.requests.Load(),
+			Steps:        em.steps.Load(),
+			LatencySumNs: em.latencyNs.Load(),
 		}
 		for b := range es.Latency {
 			es.Latency[b] = em.buckets[b].Load()

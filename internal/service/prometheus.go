@@ -14,9 +14,8 @@ import (
 // so the service stays dependency-free.
 //
 // Conventions: every metric is prefixed vmd_; counters end in _total;
-// the per-engine latency histogram follows the native histogram-as-
-// cumulative-buckets encoding (vmd_exec_latency_seconds_bucket with an
-// le label, plus _count; no _sum, which the registry does not track).
+// histograms follow the cumulative-buckets encoding (name_bucket with
+// an le label, plus name_sum and name_count).
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	// Map iteration order is random; sort labels so scrapes are
 	// stable and diffs between scrapes are meaningful.
@@ -130,6 +129,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		}
 		cum += es.Latency[NumLatencyBuckets-1]
 		p("vmd_exec_latency_seconds_bucket{engine=%q,le=\"+Inf\"} %d\n", e, cum)
+		p("vmd_exec_latency_seconds_sum{engine=%q} %s\n", e, strconv.FormatFloat(float64(es.LatencySumNs)/1e9, 'g', -1, 64))
 		p("vmd_exec_latency_seconds_count{engine=%q} %d\n", e, cum)
 	}
 	return err

@@ -3,25 +3,15 @@ package service
 // The concurrent load-generator benchmark: drives the worker pool at
 // varying parallelism with a mix of engines and cached programs, the
 // service-layer analog of the per-engine kernels in the repository
-// root's bench_test.go.
-//
-// Besides the usual `go test -bench`, running
-//
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchTrajectory ./internal/service
-//
-// re-measures a short fixed-work load sweep and rewrites
-// BENCH_PR2.json at the repository root, the first point of the bench
-// trajectory.
+// root's bench_test.go. BENCH_PR2.json at the repository root records
+// an earlier fixed-work load sweep.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/workloads"
@@ -99,84 +89,4 @@ func BenchmarkServiceLoad(b *testing.B) {
 			benchService(b, p)
 		})
 	}
-}
-
-// benchPoint is one row of BENCH_PR2.json.
-type benchPoint struct {
-	Parallelism int     `json:"parallelism"`
-	Requests    int     `json:"requests"`
-	Seconds     float64 `json:"seconds"`
-	ReqPerSec   float64 `json:"req_per_sec"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-}
-
-type benchReport struct {
-	Bench       string       `json:"bench"`
-	Description string       `json:"description"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	Workers     int          `json:"workers"`
-	Points      []benchPoint `json:"points"`
-}
-
-// TestWriteBenchTrajectory regenerates BENCH_PR2.json when
-// WRITE_BENCH_JSON is set; otherwise it only checks that the committed
-// trajectory file parses.
-func TestWriteBenchTrajectory(t *testing.T) {
-	const path = "../../BENCH_PR2.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
-		}
-		var rep benchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR2.json is invalid: %v", err)
-		}
-		if len(rep.Points) == 0 {
-			t.Fatal("committed BENCH_PR2.json has no points")
-		}
-		return
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	rep := benchReport{
-		Bench: "service-load",
-		Description: "concurrent mixed-engine load (fib+sieve across all engines) " +
-			"through the internal/service worker pool, compile-once cache warm",
-		GoMaxProcs: workers,
-		Workers:    workers,
-	}
-	const requests = 2048
-	for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
-		s, err := New(Config{Workers: workers, QueueDepth: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mix := loadMix(t)
-		drive(t, s, mix, len(mix), p) // warm the cache
-		start := time.Now()
-		steps := drive(t, s, mix, requests, p)
-		elapsed := time.Since(start)
-		snap := s.Stats()
-		s.Close()
-		rep.Points = append(rep.Points, benchPoint{
-			Parallelism: p,
-			Requests:    requests,
-			Seconds:     elapsed.Seconds(),
-			ReqPerSec:   float64(requests) / elapsed.Seconds(),
-			StepsPerSec: float64(steps) / elapsed.Seconds(),
-			CacheHits:   snap.CacheHits,
-			CacheMisses: snap.CacheMisses,
-		})
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }
