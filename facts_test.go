@@ -40,8 +40,15 @@ func TestAnalysisCapsMatchMachine(t *testing.T) {
 // bounds; the two recursive ones (gray, fib) stay unproven because
 // their stack depth genuinely depends on input data — a sound analysis
 // must not prove them, and the engines must keep their checks there.
+// The proved maxima are pinned exactly: the artifact pipeline analyzes
+// each program once and reuses the facts for its quickened form, so a
+// change in them is a change in what every engine elides.
 func TestWorkloadsProved(t *testing.T) {
 	wantUnproven := map[string]bool{"gray": true, "fib": true}
+	wantMax := map[string][2]int{ // data, return
+		"compile": {10, 11}, "prims2x": {8, 10}, "cross": {5, 11},
+		"sieve": {3, 8}, "bubble": {4, 8}, "strrev": {4, 4},
+	}
 	for _, w := range workloads.All() {
 		p, err := w.Compile()
 		if err != nil {
@@ -58,10 +65,13 @@ func TestWorkloadsProved(t *testing.T) {
 			t.Errorf("%s: unproven: %v", w.Name, f.Violations)
 			continue
 		}
-		if f.MaxDepth <= 0 || f.MaxDepth > vm.AnalysisDepthCap ||
-			f.MaxRDepth < 0 || f.MaxRDepth > vm.AnalysisRDepthCap {
-			t.Errorf("%s: implausible proved maxima depth=%d rdepth=%d",
-				w.Name, f.MaxDepth, f.MaxRDepth)
+		want, ok := wantMax[w.Name]
+		if !ok {
+			t.Errorf("%s: proved maxima depth=%d rdepth=%d are not pinned", w.Name, f.MaxDepth, f.MaxRDepth)
+			continue
+		}
+		if got := [2]int{f.MaxDepth, f.MaxRDepth}; got != want {
+			t.Errorf("%s: proved maxima depth,rdepth = %v, want %v", w.Name, got, want)
 		}
 	}
 }

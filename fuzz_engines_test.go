@@ -12,6 +12,7 @@ package stackcache
 // starting depths, not just from empty.
 
 import (
+	"reflect"
 	"testing"
 
 	"stackcache/internal/interp"
@@ -140,6 +141,12 @@ func FuzzEngines(f *testing.F) {
 		verified := vm.Verify(p) == nil
 		spec := interp.ExecSpec{MaxSteps: fuzzMaxSteps, Args: decodeFuzzArgs(argBytes)}
 
+		// The analysis is a function of the program alone: the facts
+		// every engine elides checks by must not depend on the run.
+		if !reflect.DeepEqual(vm.Analyze(p), vm.Analyze(p)) {
+			t.Fatalf("two analyses of one program differ\nprogram:\n%s", vm.Disassemble(p))
+		}
+
 		base := allEngines[0]
 		baseSnap, baseErr := base.runSpec(p, spec)
 		var baseMsg string
@@ -247,9 +254,16 @@ func FuzzEngines(f *testing.F) {
 		// exactly the service's budget-sweep contract.
 		if verified && baseMsg != "step limit exceeded" {
 			if r := vm.Optimize(p); r.Changed {
-				if err := vm.CheckTranslation(p, r.Prog); err != nil {
+				var proved vm.Facts
+				if err := vm.CheckTranslation(p, r.Prog, &proved); err != nil {
 					t.Fatalf("optimizer emitted a rewrite its validator refuses: %v\noriginal:\n%s\noptimized:\n%s",
 						err, vm.Disassemble(p), vm.Disassemble(r.Prog))
+				}
+				// The artifact pipeline serves these facts with the
+				// rewrite, quickened or not, in place of analyzing it.
+				q, _ := vm.Quicken(r.Prog)
+				if !reflect.DeepEqual(&proved, vm.Analyze(r.Prog)) || !reflect.DeepEqual(&proved, vm.Analyze(q)) {
+					t.Fatalf("validator facts differ from Analyze of the rewrite\noptimized:\n%s", vm.Disassemble(r.Prog))
 				}
 				for _, e := range allEngines {
 					snap, err := e.runSpec(r.Prog, spec)

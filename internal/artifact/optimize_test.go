@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"reflect"
 	"testing"
 
 	"stackcache/internal/forth"
@@ -138,5 +139,30 @@ func TestStoreOptimizeKeepsUnoptimizableProgram(t *testing.T) {
 	}
 	if c := s.Counters(); c.OptimizeRefused != 0 {
 		t.Errorf("refusal counted for a declined optimization: %+v", c)
+	}
+}
+
+// TestStoreFactsMatchServedProgram: a build analyzes once, before
+// quickening, and an adopted rewrite reuses the validator's facts;
+// either way the unit must carry exactly Analyze of the program it
+// serves.
+func TestStoreFactsMatchServedProgram(t *testing.T) {
+	srcs := map[string]string{
+		"rewritten": quickSrc,
+		"recursive": ": down dup 0 > if 1 - recurse then ; : main 5 down . ;",
+		"plain":     plainSrc,
+	}
+	for _, cfg := range []Config{{Optimize: true, Quicken: true}, {Quicken: true}, {}} {
+		s := NewStore(cfg)
+		for name, src := range srcs {
+			u, _ := mustGet(t, s, name, produceSrc(t, src))
+			if name == "rewritten" && cfg.Optimize && !(u.Optimized && u.Quickened) {
+				t.Fatalf("%+v: test premise broken: %s unit optimized=%v quickened=%v",
+					cfg, name, u.Optimized, u.Quickened)
+			}
+			if got, want := u.Facts(), vm.Analyze(u.Prog); !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: %s: unit facts differ from Analyze of the served program", cfg, name)
+			}
+		}
 	}
 }

@@ -237,13 +237,15 @@ func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, O
 		return nil, Miss, err
 	}
 	u := newUnit(key, p)
+	var facts *vm.Facts
 	if s.cfg.Optimize {
 		// The optimizer is untrusted: its rewrite is adopted only when
 		// the independent translation validator proves it observably
 		// equivalent to what the front end produced. A refusal is not
 		// an error — the unoptimized program is correct and is served.
 		if r := optimizeFn(p); r.Changed {
-			if err := vm.CheckTranslation(p, r.Prog); err != nil {
+			var proved vm.Facts
+			if err := vm.CheckTranslation(p, r.Prog, &proved); err != nil {
 				s.optRefused.Add(1)
 			} else {
 				p = r.Prog
@@ -252,8 +254,17 @@ func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, O
 				for pass, n := range r.Ops {
 					u.OptimizedOps[pass] = n
 				}
+				facts = &proved
 			}
 		}
+	}
+	// Analyze eagerly, and once: facts travel with the unit to disk, so
+	// a warm start skips the abstract interpreter entirely. An adopted
+	// rewrite arrives with the facts the validator proved it with.
+	// Quickening below cannot change them (a superinstruction has its
+	// first constituent's effect), so they are computed before it.
+	if facts == nil {
+		facts = vm.Analyze(p)
 	}
 	if s.cfg.Quicken {
 		if q, n := vm.Quicken(p); n > 0 {
@@ -268,9 +279,7 @@ func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, O
 			u.QuickenedOps = n
 		}
 	}
-	// Analyze eagerly: facts travel with the unit to disk, so a warm
-	// start skips the abstract interpreter entirely.
-	u.facts = vm.Analyze(u.Prog)
+	u.facts = facts
 	s.misses.Add(1)
 
 	if s.cfg.Dir != "" {

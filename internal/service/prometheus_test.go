@@ -98,14 +98,47 @@ func parseSample(line string) (promSample, error) {
 		if !ok {
 			return promSample{}, fmt.Errorf("label without value in %q", line)
 		}
-		quoted, err := strconv.QuotedPrefix(val)
+		v, after, err := labelValue(val)
 		if err != nil {
 			return promSample{}, fmt.Errorf("label %s in %q: %w", key, line, err)
 		}
-		s.labels[key], _ = strconv.Unquote(quoted)
-		rest = strings.TrimPrefix(val[len(quoted):], ",")
+		s.labels[key] = v
+		rest = strings.TrimPrefix(after, ",")
 	}
 	return s, nil
+}
+
+// labelValue parses the double-quoted label value that starts s and
+// returns it unescaped, with the rest of s after the closing quote.
+// The text format has exactly three escapes, \\, \" and \n; any other
+// backslash sequence is malformed, though Go's string syntax would
+// accept it.
+func labelValue(s string) (val, rest string, err error) {
+	if !strings.HasPrefix(s, `"`) {
+		return "", "", fmt.Errorf("value is not quoted")
+	}
+	var b strings.Builder
+	for i := 1; i < len(s); i++ {
+		switch s[i] {
+		case '"':
+			return b.String(), s[i+1:], nil
+		case '\\':
+			if i++; i == len(s) {
+				break
+			}
+			switch s[i] {
+			case '\\', '"':
+				b.WriteByte(s[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				return "", "", fmt.Errorf("escape \\%c is not in the text format", s[i])
+			}
+		default:
+			b.WriteByte(s[i])
+		}
+	}
+	return "", "", fmt.Errorf("unterminated value")
 }
 
 // conformance lists every way the parsed families break the text
@@ -240,5 +273,20 @@ lat_count{engine="a"} 2
 	}
 	if _, err := parseExposition("x_total 3\n"); err == nil {
 		t.Error("a sample without TYPE parsed")
+	}
+
+	// Label values: the three text-format escapes decode; any other
+	// escape, valid Go or not, is malformed.
+	fams, err = parseExposition(strings.Replace(good, `engine="a"`, `engine="a\\b\"c\nd"`, -1))
+	if err != nil {
+		t.Fatalf("escaped label value: %v", err)
+	}
+	if got := fams["lat"].samples[0].labels["engine"]; got != "a\\b\"c\nd" {
+		t.Errorf("escaped label value decoded to %q", got)
+	}
+	for _, esc := range []string{`\t`, `\x41`, `\u00e9`, `\'`} {
+		if _, err := parseExposition(strings.Replace(good, `engine="a"`, `engine="a`+esc+`"`, 1)); err == nil {
+			t.Errorf("label value with escape %s parsed", esc)
+		}
 	}
 }

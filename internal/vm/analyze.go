@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file implements the bytecode abstract interpretation that turns
@@ -57,10 +59,11 @@ const (
 // loop; widening reaches the same "may overflow" verdict in a handful.
 const widenAfter = 32
 
-// analysisBudget caps the total number of abstract transfer steps, a
-// safety valve so adversarial (fuzzed) programs cannot make Analyze
-// quadratic-slow. Exceeding it yields an unproven result, never an
-// unsound one. Real programs use a tiny fraction of this.
+// analysisBudget caps the total number of abstract transfer steps plus
+// allocated state slots, a safety valve so adversarial (fuzzed)
+// programs cannot make Analyze quadratic-slow or quadratic-large.
+// Exceeding it yields an unproven result, never an unsound one. Real
+// programs use a tiny fraction of this.
 const analysisBudget = 4_000_000
 
 // Interval is an inclusive [Lo,Hi] bound on a stack depth at one
@@ -164,8 +167,12 @@ func (f *Facts) Outcome() string {
 
 // Analyze runs the abstract interpretation over p and returns its
 // Facts. It never fails: structurally invalid programs come back
-// unproven with a pc -1 violation. Analyze is pure and deterministic;
-// callers cache the result per program (engine.FactsFor).
+// unproven with a pc -1 violation. Analyze is pure and deterministic:
+// its facts are a function of p alone, since no step iterates a map,
+// and they are the same for p quickened or unquickened. Callers
+// therefore analyze a program once and keep the result with it: the
+// artifact store attaches it to each unit it builds (and persists it),
+// and engine.FactsFor analyzes any other program once per identity.
 func Analyze(p *Program) *Facts {
 	return analyze(p, AnalysisDepthCap, AnalysisRDepthCap)
 }
@@ -218,8 +225,21 @@ type pcState struct {
 type proc struct {
 	entry  int
 	framed bool // entered by OpCall (a return address sits below the frame)
+	queued bool // on run's (later propagateAbs's) worklist
 
-	states map[int]*pcState
+	// states is a dense window over the pcs [base, base+len(states)).
+	// A word's body is contiguous code, so the window a context reaches
+	// is about its body's length; it grows (geometrically) only when a
+	// branch leaves it.
+	base   int
+	states []pcState
+
+	// calls lists the context's live OpCall pcs in the order they
+	// became live; callers lists, once per live call site, the contexts
+	// calling this word. Together they are the call graph, so neither
+	// fixpoint rescans the states.
+	calls   []int
+	callers []*proc
 
 	// Summary: the join of the relative data depth at every frame-base
 	// exit, i.e. the word's net stack effect. hasExit false means the
@@ -246,8 +266,11 @@ type analyzer struct {
 	dcap, rcap int
 	dlim, rlim int // cap+1 sentinels
 
-	procs   map[int]*proc // procID -> context
-	created []*proc       // procs discovered since last drained by run()
+	procs []*proc // by procID; nil until discovered
+	order []*proc // discovery order; order[0] is the top level
+
+	work   []int  // runProc's pc worklist (a stack)
+	inWork []bool // by pc: on work
 
 	budget int
 	broke  bool // budget exhausted; result is unproven
@@ -290,9 +313,11 @@ func analyze(p *Program, dcap, rcap int) *Facts {
 		f.Violations = []Violation{{PC: -1, Msg: "not analyzable: " + err.Error()}}
 		return f
 	}
+	n := len(p.Code)
 	a := &analyzer{
 		p: p, dcap: dcap, rcap: rcap, dlim: dcap + 1, rlim: rcap + 1,
-		procs:  make(map[int]*proc),
+		procs:  make([]*proc, 2*n),
+		inWork: make([]bool, n),
 		budget: analysisBudget,
 	}
 	a.run()
@@ -301,15 +326,50 @@ func analyze(p *Program, dcap, rcap int) *Facts {
 }
 
 // getProc returns (creating if needed) the context for entry/framed.
+// A new context's window runs from the entry to the first exit or
+// halt: the whole body of a word without early exits.
 func (a *analyzer) getProc(entry int, framed bool) *proc {
 	id := procID(entry, framed)
-	ps, ok := a.procs[id]
-	if !ok {
-		ps = &proc{entry: entry, framed: framed, states: make(map[int]*pcState)}
+	ps := a.procs[id]
+	if ps == nil {
+		code := a.p.Code
+		end := entry
+		for end < len(code)-1 && code[end].Op != OpExit && code[end].Op != OpHalt {
+			end++
+		}
+		ps = &proc{entry: entry, framed: framed, base: entry, states: make([]pcState, end+1-entry)}
+		a.budget -= len(ps.states)
 		a.procs[id] = ps
-		a.created = append(a.created, ps)
+		a.order = append(a.order, ps)
 	}
 	return ps
+}
+
+// minWindow is the least a window grows by.
+const minWindow = 16
+
+// state returns ps's state slot for pc, growing the window to cover
+// it. Growth at least doubles the window (clipped to the code), so a
+// body walked one pc at a time costs amortized O(1) per pc; the slots
+// it adds are charged to the budget, so branches that stretch many
+// windows across the code stay bounded in memory. The pointer is valid
+// until the next call.
+func (a *analyzer) state(ps *proc, pc int) *pcState {
+	if i := pc - ps.base; i >= 0 && i < len(ps.states) {
+		return &ps.states[i]
+	}
+	lo, hi := ps.base, ps.base+len(ps.states)
+	grow := max(len(ps.states), minWindow)
+	if pc < lo {
+		lo = max(0, min(pc, lo-grow))
+	} else {
+		hi = min(len(a.p.Code), max(pc+1, hi+grow))
+	}
+	states := make([]pcState, hi-lo)
+	copy(states[ps.base-lo:], ps.states)
+	a.budget -= len(states) - len(ps.states)
+	ps.base, ps.states = lo, states
+	return &ps.states[pc-lo]
 }
 
 // run is phase A: the summary fixpoint. Each word context is
@@ -319,39 +379,28 @@ func (a *analyzer) getProc(entry int, framed bool) *proc {
 // then widens to "may overflow").
 func (a *analyzer) run() {
 	main := a.getProc(a.p.Entry, false)
-	a.created = nil // main is queued explicitly
+	main.queued = true
 	dirty := []*proc{main}
-	queued := map[*proc]bool{main: true}
+	drained := 1 // order[:drained] have been queued
 	for len(dirty) > 0 && !a.broke {
 		ps := dirty[len(dirty)-1]
 		dirty = dirty[:len(dirty)-1]
-		queued[ps] = false
+		ps.queued = false
 		grew := a.runProc(ps)
-		// Words discovered by this round's OpCall transfers must be
-		// analyzed themselves before the result means anything.
-		for _, np := range a.created {
-			if !queued[np] {
-				queued[np] = true
-				dirty = append(dirty, np)
-			}
+		// Words discovered by this round's call sites must be analyzed
+		// themselves before the result means anything.
+		for _, np := range a.order[drained:] {
+			np.queued = true
+			dirty = append(dirty, np)
 		}
-		a.created = nil
+		drained = len(a.order)
 		if grew && ps.framed {
-			// This word's summary changed: every analyzed proc that
-			// calls it must recompute. Call edges are implicit in the
-			// states (an OpCall pc marked live), so rescan; proc
-			// counts are small.
-			for _, caller := range a.procs {
-				if queued[caller] {
-					continue
-				}
-				for pc, st := range caller.states {
-					if st.live && a.p.Code[pc].Op == OpCall &&
-						int(a.p.Code[pc].Arg) == ps.entry {
-						dirty = append(dirty, caller)
-						queued[caller] = true
-						break
-					}
+			// This word's summary changed: every context that calls it
+			// must recompute.
+			for _, caller := range ps.callers {
+				if !caller.queued {
+					caller.queued = true
+					dirty = append(dirty, caller)
 				}
 			}
 		}
@@ -359,16 +408,18 @@ func (a *analyzer) run() {
 	a.propagateAbs()
 }
 
-// joinState merges ns into the proc's state at pc, returning whether
-// anything changed; widening kicks in after widenAfter growing joins.
+// joinState merges (d, r) into the proc's state at pc, returning
+// whether anything changed; widening kicks in after widenAfter growing
+// joins. A call site becoming live enters the call graph here.
 func (a *analyzer) joinState(ps *proc, pc int, d, r interval) bool {
-	st, ok := ps.states[pc]
-	if !ok {
-		st = &pcState{}
-		ps.states[pc] = st
-	}
+	st := a.state(ps, pc)
 	if !st.live {
 		st.live, st.d, st.r = true, d, r
+		if ins := a.p.Code[pc]; ins.Op == OpCall {
+			ps.calls = append(ps.calls, pc)
+			callee := a.getProc(int(ins.Arg), true)
+			callee.callers = append(callee.callers, ps)
+		}
 		return true
 	}
 	nd, nr := ivJoin(st.d, d), ivJoin(st.r, r)
@@ -399,45 +450,47 @@ func widen(next, prev interval, lim int) interval {
 	return next
 }
 
+func (a *analyzer) push(pc int) {
+	if !a.inWork[pc] {
+		a.inWork[pc] = true
+		a.work = append(a.work, pc)
+	}
+}
+
+func (a *analyzer) flow(ps *proc, to int, d, r interval) {
+	if a.joinState(ps, to, d, r) {
+		a.push(to)
+	}
+}
+
 // runProc runs the intra-procedural worklist for one context and
 // reports whether the proc's summary (netD/hasExit) grew.
 func (a *analyzer) runProc(ps *proc) bool {
 	code := a.p.Code
 	n := len(code)
-	var work []int
-	inWork := make(map[int]bool)
-	push := func(pc int) {
-		if !inWork[pc] {
-			inWork[pc] = true
-			work = append(work, pc)
-		}
-	}
-	// (Re)seed: the entry at the frame-base state, plus every pc whose
-	// state survived a previous round — their outgoing edges must be
-	// replayed because a callee summary may have grown.
-	a.joinState(ps, ps.entry, interval{0, 0}, interval{0, 0})
-	for pc, st := range ps.states {
-		if st.live {
-			push(pc)
+	// Seed. The first round starts at the entry in the frame-base
+	// state. A later round replays only the live call sites, in the
+	// order they became live: a grown callee summary changes nothing
+	// else, since the previous round drained every other state with
+	// its final inputs.
+	if a.joinState(ps, ps.entry, interval{0, 0}, interval{0, 0}) {
+		a.push(ps.entry)
+	} else {
+		for i := len(ps.calls) - 1; i >= 0; i-- {
+			a.push(ps.calls[i])
 		}
 	}
 
 	oldNet, oldHas := ps.netD, ps.hasExit
-	flow := func(to int, d, r interval) {
-		if a.joinState(ps, to, d, r) {
-			push(to)
-		}
-	}
-
-	for len(work) > 0 {
+	for len(a.work) > 0 {
 		if a.budget--; a.budget <= 0 {
 			a.broke = true
 			return false
 		}
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[pc] = false
-		st := ps.states[pc]
+		pc := a.work[len(a.work)-1]
+		a.work = a.work[:len(a.work)-1]
+		a.inWork[pc] = false
+		st := ps.states[pc-ps.base] // a copy: flows may move the window
 		ins := code[pc]
 		eff := EffectOf(ins.Op)
 
@@ -447,23 +500,23 @@ func (a *analyzer) runProc(ps *proc) bool {
 
 		switch ins.Op {
 		case OpBranch:
-			flow(int(ins.Arg), d, r)
+			a.flow(ps, int(ins.Arg), d, r)
 		case OpBranchZero:
-			flow(int(ins.Arg), d, r)
+			a.flow(ps, int(ins.Arg), d, r)
 			if pc+1 < n {
-				flow(pc+1, d, r)
+				a.flow(ps, pc+1, d, r)
 			}
 		case OpLoop, OpPlusLoop:
 			// Back edge: loop controls stay (the table's RIn/ROut
 			// cancel). Fall-through: both controls popped.
-			flow(int(ins.Arg), d, r)
+			a.flow(ps, int(ins.Arg), d, r)
 			if pc+1 < n {
-				flow(pc+1, d, a.shiftR(st.r, -2))
+				a.flow(ps, pc+1, d, a.shiftR(st.r, -2))
 			}
 		case OpCall:
-			callee := a.getProc(int(ins.Arg), true)
+			callee := a.procs[procID(int(ins.Arg), true)]
 			if callee.hasExit && pc+1 < n {
-				flow(pc+1, a.addD(st.d, callee.netD), st.r)
+				a.flow(ps, pc+1, a.addD(st.d, callee.netD), st.r)
 			}
 		case OpExit:
 			// Terminal here; a framed exit at the frame base is the
@@ -481,7 +534,7 @@ func (a *analyzer) runProc(ps *proc) bool {
 			// Terminal.
 		default:
 			if pc+1 < n {
-				flow(pc+1, d, r)
+				a.flow(ps, pc+1, d, r)
 			}
 		}
 	}
@@ -492,24 +545,25 @@ func (a *analyzer) runProc(ps *proc) bool {
 // over call sites, with widening so recursive cycles reach the
 // capacity sentinel instead of iterating forever.
 func (a *analyzer) propagateAbs() {
-	main := a.getProc(a.p.Entry, false)
+	if a.broke {
+		return
+	}
+	main := a.order[0]
 	main.absLive = true
 	main.absD, main.absR = interval{0, 0}, interval{0, 0}
+	main.queued = true
 	work := []*proc{main}
-	queued := map[*proc]bool{main: true}
-	for len(work) > 0 && !a.broke {
+	for len(work) > 0 {
 		if a.budget--; a.budget <= 0 {
 			a.broke = true
 			return
 		}
 		ps := work[len(work)-1]
 		work = work[:len(work)-1]
-		queued[ps] = false
-		for pc, st := range ps.states {
-			if !st.live || a.p.Code[pc].Op != OpCall {
-				continue
-			}
-			callee := a.getProc(int(a.p.Code[pc].Arg), true)
+		ps.queued = false
+		for _, pc := range ps.calls {
+			st := ps.states[pc-ps.base]
+			callee := a.procs[procID(int(a.p.Code[pc].Arg), true)]
 			// The callee enters at the caller's depth here; its frame
 			// base sits above the pushed return address.
 			cd := a.addD(ps.absD, st.d)
@@ -532,8 +586,8 @@ func (a *analyzer) propagateAbs() {
 					changed = true
 				}
 			}
-			if changed && !queued[callee] {
-				queued[callee] = true
+			if changed && !callee.queued {
+				callee.queued = true
 				work = append(work, callee)
 			}
 		}
@@ -542,40 +596,37 @@ func (a *analyzer) propagateAbs() {
 
 // collect is the final, non-mutating pass: absolute per-pc intervals,
 // the proven maxima, and every violation — checked once, with the
-// converged values, so messages are stable.
+// converged values, so messages are stable. Messages name a
+// superinstruction by its first constituent, whose effect it has, so
+// quickening never changes the facts.
 func (a *analyzer) collect(f *Facts) {
 	code := a.p.Code
 	n := len(code)
-	seen := make(map[Violation]bool)
-	addV := func(pc int, format string, args ...any) {
-		v := Violation{PC: pc, Msg: fmt.Sprintf(format, args...)}
-		if !seen[v] {
-			seen[v] = true
-			f.Violations = append(f.Violations, v)
-		}
+	addV := func(pc int, msg string) {
+		f.Violations = append(f.Violations, Violation{PC: pc, Msg: msg})
 	}
 	if a.broke {
 		addV(-1, "analysis budget exceeded; program too adversarial to prove")
 	}
-
-	depthStr := func(v, cap int) string {
-		if v > cap {
-			return "unbounded"
-		}
-		return fmt.Sprintf("%d", v)
-	}
+	// A depth over the capacity is unbounded in the abstraction, so the
+	// overflow messages are fixed per analysis; recursive programs
+	// report them at nearly every pc.
+	dOver := fmt.Sprintf("data stack may overflow: depth may reach unbounded (capacity %d)", a.dcap)
+	rOver := fmt.Sprintf("return stack may overflow: depth may reach unbounded (capacity %d)", a.rcap)
 
 	maxD, maxR := 0, 0
-	for _, ps := range a.procs {
+	for _, ps := range a.order {
 		if !ps.absLive {
 			continue
 		}
-		for pc, st := range ps.states {
+		for i, st := range ps.states {
 			if !st.live {
 				continue
 			}
+			pc := ps.base + i
 			ins := code[pc]
-			eff := EffectOf(ins.Op)
+			op := CanonicalInstr(ins).Op
+			eff := EffectOf(op)
 			ad := a.addD(ps.absD, st.d)
 			ar := a.addR(ps.absR, st.r)
 
@@ -593,52 +644,50 @@ func (a *analyzer) collect(f *Facts) {
 			// Data stack: underflow against the guaranteed minimum,
 			// overflow against the in-instruction peak.
 			if eff.In > ad.lo {
-				addV(pc, "data stack may underflow: %s needs %d, depth may be %d",
-					ins.Op, eff.In, ad.lo)
+				addV(pc, fmt.Sprintf("data stack may underflow: %s needs %d, depth may be %d",
+					op, eff.In, ad.lo))
 			}
 			peak := max(ad.hi, ad.hi-eff.In+eff.Out)
 			if peak > a.dcap {
-				addV(pc, "data stack may overflow: depth may reach %s (capacity %d)",
-					depthStr(peak, a.dcap), a.dcap)
+				addV(pc, dOver)
 			}
 			maxD = max(maxD, peak)
 
 			// Return stack.
 			rpeak := max(ar.hi, ar.hi-eff.RIn+eff.ROut)
-			switch ins.Op {
+			switch op {
 			case OpExit:
 				if ar.lo < 1 {
-					addV(pc, "return stack may underflow: exit needs 1, height may be %d", ar.lo)
+					addV(pc, fmt.Sprintf("return stack may underflow: exit needs 1, height may be %d", ar.lo))
 				} else if !ps.framed || st.r.lo != 0 || st.r.hi != 0 {
-					addV(pc, "exit return address is not provably a call return (frame height %d..%d)",
-						st.r.lo, st.r.hi)
+					addV(pc, fmt.Sprintf("exit return address is not provably a call return (frame height %d..%d)",
+						st.r.lo, st.r.hi))
 				}
 			case OpCall:
 				rpeak = max(rpeak, ar.hi+1)
-				if pc+1 >= n && a.getProc(int(ins.Arg), true).hasExit {
-					addV(pc, "call return address %d is outside the code", pc+1)
+				if pc+1 >= n && a.procs[procID(int(ins.Arg), true)].hasExit {
+					addV(pc, fmt.Sprintf("call return address %d is outside the code", pc+1))
 				}
 			default:
 				if eff.RIn > 0 {
 					if eff.RIn > ar.lo {
-						addV(pc, "return stack may underflow: %s needs %d, height may be %d",
-							ins.Op, eff.RIn, ar.lo)
+						addV(pc, fmt.Sprintf("return stack may underflow: %s needs %d, height may be %d",
+							op, eff.RIn, ar.lo))
 					} else if ps.framed && eff.RIn > st.r.lo {
-						addV(pc, "%s may reach the word's return address (frame height may be %d)",
-							ins.Op, st.r.lo)
+						addV(pc, fmt.Sprintf("%s may reach the word's return address (frame height may be %d)",
+							op, st.r.lo))
 					}
 				}
 			}
 			if rpeak > a.rcap {
-				addV(pc, "return stack may overflow: depth may reach %s (capacity %d)",
-					depthStr(rpeak, a.rcap), a.rcap)
+				addV(pc, rOver)
 			}
 			maxR = max(maxR, rpeak)
 
 			// Falling off the end of the code: any op whose successor
 			// set includes pc+1 == len(code). (A last-pc OpCall is the
 			// out-of-range return address flagged above.)
-			switch ins.Op {
+			switch op {
 			case OpBranch, OpExit, OpHalt, OpCall:
 			default:
 				if pc+1 >= n {
@@ -648,12 +697,15 @@ func (a *analyzer) collect(f *Facts) {
 		}
 	}
 
-	sort.Slice(f.Violations, func(i, j int) bool {
-		if f.Violations[i].PC != f.Violations[j].PC {
-			return f.Violations[i].PC < f.Violations[j].PC
+	// Several contexts can report the same violation; sort, then keep
+	// one of each.
+	slices.SortFunc(f.Violations, func(x, y Violation) int {
+		if c := cmp.Compare(x.PC, y.PC); c != 0 {
+			return c
 		}
-		return f.Violations[i].Msg < f.Violations[j].Msg
+		return strings.Compare(x.Msg, y.Msg)
 	})
+	f.Violations = slices.Compact(f.Violations)
 	f.MaxDepth, f.MaxRDepth = maxD, maxR
 	f.Proved = len(f.Violations) == 0
 }

@@ -73,7 +73,14 @@ const ctMaxPairs = 1 << 16
 // serve. Quickening is transparent here: both programs are compared
 // in unquickened form, since superinstructions are observably
 // identical to their expansions by construction.
-func CheckTranslation(orig, opt *Program) error {
+//
+// On acceptance CheckTranslation hands back the facts it proved the
+// rewrite with: it stores Analyze of opt's unquickened form through
+// each non-nil proved pointer. Those are exactly Analyze(opt), and
+// Analyze of any quickening of opt, because a superinstruction has its
+// first constituent's effect; a caller serving opt attaches them
+// instead of analyzing it again.
+func CheckTranslation(orig, opt *Program, proved ...*Facts) error {
 	if orig == nil || opt == nil {
 		return fmt.Errorf("vm: checktranslation: nil program")
 	}
@@ -87,7 +94,8 @@ func CheckTranslation(orig, opt *Program) error {
 	if !Analyze(o).Proved {
 		return fmt.Errorf("vm: checktranslation: original program is not depth-proven")
 	}
-	if !Analyze(t).Proved {
+	ft := Analyze(t)
+	if !ft.Proved {
 		return fmt.Errorf("vm: checktranslation: rewritten program is not depth-proven")
 	}
 	if o.MemSize != t.MemSize {
@@ -107,6 +115,11 @@ func CheckTranslation(orig, opt *Program) error {
 	}
 	if v.overflow {
 		return fmt.Errorf("vm: checktranslation: more than %d pc pairs; refusing", ctMaxPairs)
+	}
+	for _, f := range proved {
+		if f != nil {
+			*f = *ft
+		}
 	}
 	return nil
 }
@@ -313,12 +326,12 @@ type event struct {
 type enderKind uint8
 
 const (
-	eHalt     enderKind = iota
-	eJump               // backward unconditional transfer
-	eCond               // undecided 0branch
-	eCall               // call to a word with control flow
-	eExit               // word return popping below the episode frame
-	eLoop               // do-loop back edge decision
+	eHalt enderKind = iota
+	eJump           // backward unconditional transfer
+	eCond           // undecided 0branch
+	eCall           // call to a word with control flow
+	eExit           // word return popping below the episode frame
+	eLoop           // do-loop back edge decision
 	ePlusLoop
 )
 

@@ -28,10 +28,11 @@ package vm
 // The optimizer is deliberately UNTRUSTED: nothing here is part of the
 // correctness argument. Every accepted rewrite must additionally pass
 // the independent translation validator (CheckTranslation, in
-// checktrans.go), and Optimize itself re-runs Verify and Analyze on
-// its output, bailing out to the identity result if the rewritten
-// program is not again verified and depth-proven. A refusal anywhere
-// degrades to running the original program, never to unsoundness.
+// checktrans.go), which also re-proves the rewrite's depth safety;
+// Optimize itself only re-runs Verify on its output, bailing out to
+// the identity result if the rewritten program fails it. A refusal
+// anywhere degrades to running the original program, never to
+// unsoundness.
 //
 // Soundness-relevant local rules (the validator re-checks all of them,
 // but they are designed in, not accidental):
@@ -208,6 +209,11 @@ func straightLineBody(code []Instr, entry int) (int, bool) {
 // justified — it returns a result with Changed == false and Prog == p
 // rather than an error.
 //
+// Optimize is untrusted, and it does not check its own output beyond
+// Verify: callers must validate a changed Prog with CheckTranslation
+// before they run or serve it. That check also proves the rewrite's
+// depth safety, which is why Optimize does not analyze its output.
+//
 // The observable-equivalence contract (enforced independently by
 // CheckTranslation, which the artifact pipeline interposes before
 // adopting any optimized program): for every run started at the entry
@@ -272,9 +278,9 @@ func Optimize(p *Program) *OptResult {
 	if !changed {
 		return res
 	}
-	if hasLeafCallSite(cur) || Verify(cur) != nil || !Analyze(cur).Proved {
-		// Closure not reached within the round budget, or the rewrite
-		// lost the safety proof: refuse our own work.
+	if hasLeafCallSite(cur) || Verify(cur) != nil {
+		// Closure not reached within the round budget, or a rewrite
+		// the verifier rejects: refuse our own work.
 		return &OptResult{
 			Prog: p, Source: src,
 			Fate:  make([]PCFate, len(src.Code)),
@@ -343,10 +349,10 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 		return nil, false
 	}
 
-	map1 := make([]int, n)    // input pc -> stage-1 pc
-	var code1 []Instr         // stage-1 code
-	var origin1 []int         // stage-1 pc -> input pc it came from
-	var original1 []bool      // stage-1 pc is the instruction's own slot
+	map1 := make([]int, n) // input pc -> stage-1 pc
+	var code1 []Instr      // stage-1 code
+	var origin1 []int      // stage-1 pc -> input pc it came from
+	var original1 []bool   // stage-1 pc is the instruction's own slot
 	for pc, ins := range src.Code {
 		map1[pc] = len(code1)
 		if bl, ok := inline[pc]; ok {
