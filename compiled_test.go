@@ -236,8 +236,8 @@ func TestCompiledUnprovenArgs(t *testing.T) {
 
 // TestCompiledArtifactStats pins that the lowering actually does what
 // the package doc claims on the paper workloads: blocks form, fusion
-// shrinks the closure count well below the instruction count, folding
-// fires, and proof-gated elision follows the analysis verdict.
+// shrinks the closure count well below the instruction count, and
+// proof-gated elision follows the analysis verdict.
 func TestCompiledArtifactStats(t *testing.T) {
 	anyElided := false
 	for _, name := range []string{"compile", "gray", "prims2x", "cross"} {

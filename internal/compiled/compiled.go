@@ -11,12 +11,12 @@
 // closure, so the hot path has no opcode switch, no per-instruction pc
 // bookkeeping and no table dispatch. The lowering additionally
 //
-//   - constant-folds lit-fed arithmetic (lit 2; lit 3; + becomes one
-//     push of 5, chains fold transitively),
 //   - fuses superinstruction patterns: lit-fed binary ops, compare+
 //     0branch pairs, constant-address memory ops, literal runs,
 //   - hoists the per-instruction step-limit and stack-depth checks into
-//     one block-entry precheck, and
+//     one block-entry precheck,
+//   - tabulates control-transfer blocks as guards the transfer loop
+//     executes in place, and
 //   - when the program's vm.Analyze facts are Proved, emits a second
 //     variant of the code with the stack-depth checks deleted at
 //     codegen time (the check-elision contract of facts_test.go, moved
@@ -24,16 +24,15 @@
 //
 // Exactness is non-negotiable: the artifact is observably identical to
 // the switch interpreter on every program, including malformed and
-// over-budget ones. Three mechanisms make that cheap to guarantee:
+// over-budget ones. Two mechanisms make that cheap to guarantee:
 //
-//   - every pc keeps an individually addressable fully checked
-//     single-step closure, so a dynamic jump into the middle of a fused
-//     block (a corrupt return address popped by OpExit) lands on exact
-//     per-instruction semantics;
-//   - a block whose entry precheck fails (not enough step budget or
-//     stack headroom for the whole block) falls back to those same
-//     single-step closures, which reproduce the baseline's error at
-//     exactly the instruction where it fires;
+//   - whatever the fused code cannot promise is handed to the switch
+//     baseline itself: a block whose entry precheck fails (not enough
+//     step budget or stack headroom for the whole block), and a dynamic
+//     jump into the middle of a block (a corrupt return address popped
+//     by OpExit), write the machine state back and finish the run in
+//     interp.RunSwitch, which reports the baseline's error because it
+//     is the baseline;
 //   - fused bodies that can still fail mid-block (division, memory,
 //     output budget) reconstruct the baseline's partial state — stack
 //     contents, sp, pc, step count — before reporting the error.
@@ -99,8 +98,6 @@ type Stats struct {
 	// Instructions is the number of bytecode instructions covered by
 	// fast-path closures.
 	Instructions int
-	// Folded counts instructions removed by constant folding.
-	Folded int
 	// Elided reports whether a check-free variant was generated.
 	Elided bool
 }

@@ -1,13 +1,13 @@
 package compiled
 
-// Fusion: straight-line blocks → folded, fused closure chains. A block
-// is lowered once into a preamble (one step-budget check, and — in the
+// Fusion: straight-line blocks → fused closure chains. A block is
+// lowered once into a preamble (one step-budget check, and — in the
 // checked variant — one stack-depth precheck covering every instruction
 // in the block) followed by a chain of nodes that call each other
 // directly, so the trampoline in Run only turns over at control
 // transfers. Node bodies carry no stack-depth checks in either variant:
-// the preamble either proved the whole block safe or bailed to the
-// single-step fallback, which is what makes deleting the checks in the
+// the preamble either proved the whole block safe or handed the run to
+// the switch baseline, which is what makes deleting the checks in the
 // elided variant a one-line difference (the preamble's depth test goes
 // away) rather than a second code generator.
 
@@ -16,24 +16,22 @@ import (
 	"stackcache/internal/vm"
 )
 
-// fInst is one fast-path unit after folding: a (possibly synthetic)
-// instruction plus the span of original instructions it covers. pc is
-// the first covered pc and n the covered count — together they let
-// error paths rewind the block's bulk step accounting to the baseline's
-// exact count, and folded literals keep the step cost of the
-// instructions they replaced.
+// fInst is one instruction of the block being fused, with the pc error
+// paths report it at.
 type fInst struct {
 	op  vm.Opcode
 	arg vm.Cell
 	pc  int
-	n   int64
 }
 
 // lowerBlock compiles the block [L, end) into its entry closure.
 func (v *variant) lowerBlock(L, end int, mode buildMode) op {
 	k := int64(end - L)
 	needLow, hi, rneedLow, rhi := blockNeeds(v.code[L:end])
-	fis := foldBlock(v.code, L, end, &v.stats)
+	fis := make([]fInst, 0, end-L)
+	for pc := L; pc < end; pc++ {
+		fis = append(fis, fInst{op: v.code[pc].Op, arg: v.code[pc].Arg, pc: pc})
+	}
 	v.stats.Instructions += int(k)
 
 	first := v.fuseNodes(fis, end)
@@ -45,8 +43,8 @@ func (v *variant) lowerBlock(L, end int, mode buildMode) op {
 	// branch, or a test feeding a 0branch) — additionally classify to a
 	// guard kind the transfer loop executes in place, with no dispatch
 	// at all; the closure chain built below still backs them for
-	// run-entry and bail-out. The elided variant's guard carries no
-	// depth bounds — only the step charge survives codegen.
+	// run entry. The elided variant's guard carries no depth bounds —
+	// only the step charge survives codegen.
 	if needLow <= 255 && hi <= 255 && rneedLow <= 255 && rhi <= 255 {
 		g := guard{k: int32(k)}
 		if mode == buildChecked {
@@ -63,80 +61,46 @@ func (v *variant) lowerBlock(L, end int, mode buildMode) op {
 		v.g[L] = g
 	}
 
+	// The preamble hands the run to the switch baseline when it cannot
+	// promise the whole block; blockNeeds is exact, so the baseline then
+	// reports the block's stack or step-limit error itself.
+	bail := handOff(L)
 	if mode == buildElided {
 		// Proved program: vm.Analyze showed every reachable depth fits,
 		// so codegen emits no depth test at all — only the step budget
 		// remains, because budgets are per-run, not per-program.
 		return func(s *state, sp, rp int) (op, int, int) {
 			if s.steps+k > s.limit {
-				return v.step(s, L, sp, rp)
+				return bail(s, sp, rp)
 			}
 			s.steps += k
 			return first(s, sp, rp)
 		}
 	}
-	// The checked preamble bails to the single-step fallback when it
-	// cannot promise the whole block: if a bailed step errors, that IS
-	// the baseline's error; if not, the trampoline continues and
-	// re-enters a preamble only at the next block boundary. Specialized
-	// shapes skip check groups that are statically vacuous — most
-	// blocks never touch the return stack, and control-only blocks
-	// have no depth profile at all.
-	touchesData := needLow != 0 || hi != 0
-	touchesRet := rneedLow != 0 || rhi != 0
-	switch {
-	case touchesData && touchesRet:
-		return func(s *state, sp, rp int) (op, int, int) {
-			if s.steps+k > s.limit ||
-				sp < needLow || sp+hi > len(s.st) ||
-				rp < rneedLow || rp+rhi > len(s.rs) {
-				return v.step(s, L, sp, rp)
-			}
-			s.steps += k
-			return first(s, sp, rp)
+	return func(s *state, sp, rp int) (op, int, int) {
+		if s.steps+k > s.limit ||
+			sp < needLow || sp+hi > len(s.st) ||
+			rp < rneedLow || rp+rhi > len(s.rs) {
+			return bail(s, sp, rp)
 		}
-	case touchesData:
-		return func(s *state, sp, rp int) (op, int, int) {
-			if s.steps+k > s.limit ||
-				sp < needLow || sp+hi > len(s.st) {
-				return v.step(s, L, sp, rp)
-			}
-			s.steps += k
-			return first(s, sp, rp)
-		}
-	case touchesRet:
-		return func(s *state, sp, rp int) (op, int, int) {
-			if s.steps+k > s.limit ||
-				rp < rneedLow || rp+rhi > len(s.rs) {
-				return v.step(s, L, sp, rp)
-			}
-			s.steps += k
-			return first(s, sp, rp)
-		}
-	default:
-		return func(s *state, sp, rp int) (op, int, int) {
-			if s.steps+k > s.limit {
-				return v.step(s, L, sp, rp)
-			}
-			s.steps += k
-			return first(s, sp, rp)
-		}
+		s.steps += k
+		return first(s, sp, rp)
 	}
 }
 
-// controlKind tries to lower the whole folded block into guard form: a
+// controlKind tries to lower the whole block into guard form: a
 // terminator kind the goTo transfer loop executes in place, preceded
 // by the block's leading instructions as (at most) leading sp/rp
 // adjustments plus up to four fused prefix closures in the guard's
 // direct preF slots. The lead lowers to closures through symbolic
 // preDescs: plain infallible opcodes (stack/rstack shuffles,
 // arithmetic, comparisons, loop-index reads), literal pushes, literal
-// right-operand binops (1+/1-/lit-add canonicalize here and adjacent
-// ones merge), and constant-address memory ops whose touched byte
-// range is known statically — the guard's memHi bound is checked once
-// at entry, so no pre body validates an address. The terminator's own
-// comparison constant (kLitCmp0Br/kDupLitCmp0Br) lives in the guard
-// consts' c slot.
+// right-operand binops (1+/1-/lit-add canonicalize here), and
+// constant-address memory ops whose touched byte range is known
+// statically — the guard's memHi bound is checked once at entry, so no
+// pre body validates an address. The terminator's own comparison
+// constant (kLitCmp0Br/kDupLitCmp0Br) lives in the guard consts' c
+// slot.
 //
 // The function fills g and reports whether the lowering succeeded; on
 // false the caller must discard g (it may be partially written) and
@@ -168,7 +132,7 @@ func (v *variant) controlKind(g *guard, gc *guardConsts, fis []fInst, end int) b
 	consumed := 0
 	if n := len(live); n > 0 && vm.EffectOf(live[n-1].op).Control {
 		fi := live[n-1]
-		fall := int32(fi.pc + int(fi.n))
+		fall := int32(fi.pc + 1)
 		switch fi.op {
 		case vm.OpExit:
 			g.kind, consumed = kExit, 1
@@ -283,42 +247,6 @@ func (v *variant) controlKind(g *guard, gc *guardConsts, fis []fInst, end int) b
 			descs = append(descs, preDesc{opc: fi.op})
 		}
 	}
-	// Adjacent literal ops on TOS merge into one descriptor: +/- chains
-	// sum a wrapping net constant ("lit - 1+" becomes one add), and/or/
-	// xor chains fold pointwise. Wrapping int64 arithmetic keeps the
-	// merged op bit-identical to the two-step baseline.
-	merged := descs[:0]
-	for _, d := range descs {
-		if n := len(merged); n > 0 && d.litop && merged[n-1].litop {
-			p := &merged[n-1]
-			switch {
-			case (p.opc == vm.OpAdd || p.opc == vm.OpSub) &&
-				(d.opc == vm.OpAdd || d.opc == vm.OpSub):
-				net := p.c
-				if p.opc == vm.OpSub {
-					net = -net
-				}
-				if d.opc == vm.OpAdd {
-					net += d.c
-				} else {
-					net -= d.c
-				}
-				p.opc, p.c = vm.OpAdd, net
-				continue
-			case p.opc == vm.OpAnd && d.opc == vm.OpAnd:
-				p.c &= d.c
-				continue
-			case p.opc == vm.OpOr && d.opc == vm.OpOr:
-				p.c |= d.c
-				continue
-			case p.opc == vm.OpXor && d.opc == vm.OpXor:
-				p.c ^= d.c
-				continue
-			}
-		}
-		merged = append(merged, d)
-	}
-	descs = merged
 	// Leading pure stack motion costs zero closures: the transfer loop
 	// adjusts sp/rp inline from the guard's spAdj/rpAdj before any pre
 	// runs. The entry gate still checks the original block's depth
@@ -581,11 +509,6 @@ func prePairFor(a, b preDesc) preOp {
 				s.m.SetCellAt(addr, x+v)
 				return sp, rp
 			}
-		case vm.OpCStore:
-			return func(s *state, sp, rp int) (int, int) {
-				s.m.SetByteAt(addr, v)
-				return sp, rp
-			}
 		}
 		return nil
 	}
@@ -609,12 +532,6 @@ func prePairFor(a, b preDesc) preOp {
 				s.st[sp] = s.st[sp-1] & k
 				return sp + 1, rp
 			}
-		case vm.OpAdd:
-			k := b.c
-			return func(s *state, sp, rp int) (int, int) {
-				s.st[sp] = s.st[sp-1] + k
-				return sp + 1, rp
-			}
 		case vm.OpSub:
 			k := b.c
 			return func(s *state, sp, rp int) (int, int) {
@@ -624,107 +541,35 @@ func prePairFor(a, b preDesc) preOp {
 		}
 		return nil
 	}
-	// [swap; lit k op] swaps and applies the literal op to the new TOS.
-	if a.opc == vm.OpSwap && !a.lit && !a.litop && a.mem == vm.OpNop && b.litop {
-		switch b.opc {
-		case vm.OpAdd:
-			k := b.c
-			return func(s *state, sp, rp int) (int, int) {
-				st := s.st
-				st[sp-2], st[sp-1] = st[sp-1], st[sp-2]+k
-				return sp, rp
-			}
-		case vm.OpSub:
-			k := b.c
-			return func(s *state, sp, rp int) (int, int) {
-				st := s.st
-				st[sp-2], st[sp-1] = st[sp-1], st[sp-2]-k
-				return sp, rp
-			}
+	// [swap; lit k -] swaps and subtracts the literal from the new TOS.
+	if a.opc == vm.OpSwap && !a.lit && !a.litop && a.mem == vm.OpNop &&
+		b.litop && b.opc == vm.OpSub {
+		k := b.c
+		return func(s *state, sp, rp int) (int, int) {
+			st := s.st
+			st[sp-2], st[sp-1] = st[sp-1], st[sp-2]-k
+			return sp, rp
 		}
-		return nil
 	}
-	// A constant-address fetch feeding additive arithmetic skips the
-	// push+pop round trip through the stack.
-	if a.mem == vm.OpFetch && !b.lit && !b.litop && b.mem == vm.OpNop {
+	// A constant-address fetch feeding + skips the push+pop round trip
+	// through the stack.
+	if a.mem == vm.OpFetch && b.opc == vm.OpAdd && !b.lit && !b.litop && b.mem == vm.OpNop {
 		addr := a.c
-		switch b.opc {
-		case vm.OpAdd:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp-1] += x
-				return sp, rp
-			}
-		case vm.OpSub:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp-1] -= x
-				return sp, rp
-			}
+		return func(s *state, sp, rp int) (int, int) {
+			x, _ := s.m.CellAt(addr)
+			s.st[sp-1] += x
+			return sp, rp
 		}
-		return nil
 	}
-	// [lit a @; lit k op] pushes op(mem[a], k): the fetched cell is
-	// compared or combined before it ever lands on the stack.
-	if a.mem == vm.OpFetch && b.litop {
+	// [lit a @; lit k >=] pushes the flag mem[a] >= k: the fetched cell
+	// is compared before it ever lands on the stack.
+	if a.mem == vm.OpFetch && b.litop && b.opc == vm.OpGe {
 		addr, k := a.c, b.c
-		switch b.opc {
-		case vm.OpAdd:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = x + k
-				return sp + 1, rp
-			}
-		case vm.OpSub:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = x - k
-				return sp + 1, rp
-			}
-		case vm.OpAnd:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = x & k
-				return sp + 1, rp
-			}
-		case vm.OpEq:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x == k)
-				return sp + 1, rp
-			}
-		case vm.OpNe:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x != k)
-				return sp + 1, rp
-			}
-		case vm.OpLt:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x < k)
-				return sp + 1, rp
-			}
-		case vm.OpGt:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x > k)
-				return sp + 1, rp
-			}
-		case vm.OpLe:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x <= k)
-				return sp + 1, rp
-			}
-		case vm.OpGe:
-			return func(s *state, sp, rp int) (int, int) {
-				x, _ := s.m.CellAt(addr)
-				s.st[sp] = interp.Flag(x >= k)
-				return sp + 1, rp
-			}
+		return func(s *state, sp, rp int) (int, int) {
+			x, _ := s.m.CellAt(addr)
+			s.st[sp] = interp.Flag(x >= k)
+			return sp + 1, rp
 		}
-		return nil
 	}
 	// [r@; lit k +] pushes the loop counter plus k without the copy.
 	if a.opc == vm.OpRFetch && !a.lit && !a.litop && a.mem == vm.OpNop &&
@@ -751,52 +596,13 @@ func prePairFor(a, b preDesc) preOp {
 		a.mem != vm.OpNop || b.mem != vm.OpNop {
 		return nil
 	}
-	switch [2]vm.Opcode{a.opc, b.opc} {
-	case [2]vm.Opcode{vm.OpRot, vm.OpOver}:
+	if a.opc == vm.OpRot && b.opc == vm.OpOver {
 		// x y z -> y z x z
 		return func(s *state, sp, rp int) (int, int) {
 			st := s.st
 			x, y, z := st[sp-3], st[sp-2], st[sp-1]
 			st[sp-3], st[sp-2], st[sp-1], st[sp] = y, z, x, z
 			return sp + 1, rp
-		}
-	case [2]vm.Opcode{vm.OpToR, vm.OpRFetch}:
-		// >r r@ removes TOS and immediately pushes it back: the data
-		// stack is unchanged, the return stack gains a copy.
-		return func(s *state, sp, rp int) (int, int) {
-			s.rs[rp] = s.st[sp-1]
-			return sp, rp + 1
-		}
-	case [2]vm.Opcode{vm.OpRFrom, vm.OpDrop}:
-		// r> drop moves a cell across and discards it: pure rp motion.
-		return func(s *state, sp, rp int) (int, int) {
-			return sp, rp - 1
-		}
-	case [2]vm.Opcode{vm.OpTwoDrop, vm.OpDrop}:
-		return func(s *state, sp, rp int) (int, int) {
-			return sp - 3, rp
-		}
-	case [2]vm.Opcode{vm.OpDrop, vm.OpDrop}:
-		return func(s *state, sp, rp int) (int, int) {
-			return sp - 2, rp
-		}
-	case [2]vm.Opcode{vm.OpSwap, vm.OpDrop}:
-		// nip
-		return func(s *state, sp, rp int) (int, int) {
-			s.st[sp-2] = s.st[sp-1]
-			return sp - 1, rp
-		}
-	case [2]vm.Opcode{vm.OpOver, vm.OpAdd}:
-		// x y -> x y+x
-		return func(s *state, sp, rp int) (int, int) {
-			s.st[sp-1] += s.st[sp-2]
-			return sp, rp
-		}
-	case [2]vm.Opcode{vm.OpOver, vm.OpSub}:
-		// x y -> x y-x
-		return func(s *state, sp, rp int) (int, int) {
-			s.st[sp-1] -= s.st[sp-2]
-			return sp, rp
 		}
 	}
 	return nil
@@ -844,162 +650,6 @@ func preMemConst(memOp vm.Opcode, addr vm.Cell) (preOp, vm.Cell, bool) {
 	return nil, 0, false
 }
 
-// foldBlock turns the block's instructions into fInsts and constant-
-// folds literal-fed arithmetic to a fixpoint: [lit a; unop] and
-// [lit a; lit b; binop] collapse into one literal (chains fold
-// transitively), [lit; drop] and [lit; lit; 2drop] vanish into step-
-// only nops. Folding is observably safe because the block precheck is
-// computed from the ORIGINAL instructions' effects (so the depth
-// profile the baseline would have checked still gates entry), folded
-// ops are exactly the ones that cannot fail mid-block (div/mod fold
-// only for non-zero divisors), and the covered-count bookkeeping keeps
-// step accounting exact.
-func foldBlock(code []vm.Instr, L, end int, stats *Stats) []fInst {
-	fis := make([]fInst, 0, end-L)
-	for pc := L; pc < end; pc++ {
-		fis = append(fis, fInst{op: code[pc].Op, arg: code[pc].Arg, pc: pc, n: 1})
-	}
-	for {
-		changed := false
-		for i := 0; i < len(fis); i++ {
-			if fis[i].op != vm.OpLit {
-				continue
-			}
-			if i+1 < len(fis) {
-				if val, ok := fold1(fis[i+1].op, fis[i+1].arg, fis[i].arg); ok {
-					fis[i] = fInst{op: vm.OpLit, arg: val, pc: fis[i].pc, n: fis[i].n + fis[i+1].n}
-					fis = append(fis[:i+1], fis[i+2:]...)
-					stats.Folded++
-					changed = true
-					continue
-				}
-				if fis[i+1].op == vm.OpDrop {
-					fis[i] = fInst{op: vm.OpNop, pc: fis[i].pc, n: fis[i].n + fis[i+1].n}
-					fis = append(fis[:i+1], fis[i+2:]...)
-					stats.Folded++
-					changed = true
-					continue
-				}
-			}
-			if i+2 < len(fis) && fis[i+1].op == vm.OpLit {
-				if val, ok := fold2(fis[i+2].op, fis[i].arg, fis[i+1].arg); ok {
-					fis[i] = fInst{op: vm.OpLit, arg: val, pc: fis[i].pc, n: fis[i].n + fis[i+1].n + fis[i+2].n}
-					fis = append(fis[:i+1], fis[i+3:]...)
-					stats.Folded += 2
-					changed = true
-					continue
-				}
-				if fis[i+2].op == vm.OpTwoDrop {
-					fis[i] = fInst{op: vm.OpNop, pc: fis[i].pc, n: fis[i].n + fis[i+1].n + fis[i+2].n}
-					fis = append(fis[:i+1], fis[i+3:]...)
-					stats.Folded += 2
-					changed = true
-					continue
-				}
-			}
-		}
-		if !changed {
-			return fis
-		}
-	}
-}
-
-// fold1 evaluates unary op(a) at compile time. Returns ok=false for
-// anything that is not a pure, error-free unary data op.
-func fold1(o vm.Opcode, arg, a vm.Cell) (vm.Cell, bool) {
-	switch o {
-	case vm.OpNegate:
-		return -a, true
-	case vm.OpAbs:
-		if a < 0 {
-			return -a, true
-		}
-		return a, true
-	case vm.OpInvert:
-		return ^a, true
-	case vm.OpOnePlus:
-		return a + 1, true
-	case vm.OpOneMinus:
-		return a - 1, true
-	case vm.OpTwoStar:
-		return a << 1, true
-	case vm.OpTwoSlash:
-		return a >> 1, true
-	case vm.OpCells:
-		return a * vm.CellSize, true
-	case vm.OpLitAdd:
-		return a + arg, true
-	case vm.OpZeroEq:
-		return interp.Flag(a == 0), true
-	case vm.OpZeroNe:
-		return interp.Flag(a != 0), true
-	case vm.OpZeroLt:
-		return interp.Flag(a < 0), true
-	case vm.OpZeroGt:
-		return interp.Flag(a > 0), true
-	}
-	return 0, false
-}
-
-// fold2 evaluates binary a op b at compile time. Division and modulo
-// fold only for a non-zero divisor — a constant zero divisor must reach
-// run time to report the baseline's error with the baseline's stack.
-func fold2(o vm.Opcode, a, b vm.Cell) (vm.Cell, bool) {
-	switch o {
-	case vm.OpAdd:
-		return a + b, true
-	case vm.OpSub:
-		return a - b, true
-	case vm.OpMul:
-		return a * b, true
-	case vm.OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return interp.FloorDiv(a, b), true
-	case vm.OpMod:
-		if b == 0 {
-			return 0, false
-		}
-		return interp.FloorMod(a, b), true
-	case vm.OpAnd:
-		return a & b, true
-	case vm.OpOr:
-		return a | b, true
-	case vm.OpXor:
-		return a ^ b, true
-	case vm.OpMin:
-		if b < a {
-			return b, true
-		}
-		return a, true
-	case vm.OpMax:
-		if b > a {
-			return b, true
-		}
-		return a, true
-	case vm.OpLshift:
-		return interp.ShiftLeft(a, b), true
-	case vm.OpRshift:
-		return interp.ShiftRight(a, b), true
-	case vm.OpEq:
-		return interp.Flag(a == b), true
-	case vm.OpNe:
-		return interp.Flag(a != b), true
-	case vm.OpLt:
-		return interp.Flag(a < b), true
-	case vm.OpGt:
-		return interp.Flag(a > b), true
-	case vm.OpLe:
-		return interp.Flag(a <= b), true
-	case vm.OpGe:
-		return interp.Flag(a >= b), true
-	case vm.OpULt:
-		return interp.Flag(uint64(a) < uint64(b)), true
-	}
-	return 0, false
-}
-
 // fuseNodes builds the block's closure chain, right to left so every
 // node captures its successor directly. Multi-op fusions come from the
 // shared vm.Fusions table (the cursor sits on a sequence's last
@@ -1008,11 +658,11 @@ func fold2(o vm.Opcode, a, b vm.Cell) (vm.Cell, bool) {
 // block's exclusive end pc — the fall-through continuation for blocks
 // that end at a join rather than a control instruction.
 func (v *variant) fuseNodes(fis []fInst, end int) op {
-	// after[i] = original instructions covered by fis[i:] — the amount
-	// the bulk step accounting must rewind when fis[i-1]'s node errors.
+	// after[i] = instructions in fis[i:] — the amount the bulk step
+	// accounting must rewind when fis[i-1]'s node errors.
 	after := make([]int64, len(fis)+1)
-	for i := len(fis) - 1; i >= 0; i-- {
-		after[i] = after[i+1] + fis[i].n
+	for i := range after {
+		after[i] = int64(len(fis) - i)
 	}
 
 	next := v.blockExit(end)
@@ -1020,7 +670,7 @@ func (v *variant) fuseNodes(fis []fInst, end int) op {
 
 	// A control or invalid instruction is always last in the block.
 	if i >= 0 && isTerminator(fis[i]) {
-		if node, consumed := v.terminator(fis, i, end); node != nil {
+		if node, consumed := v.terminator(fis, i); node != nil {
 			next = node
 			i -= consumed
 		}
@@ -1030,14 +680,14 @@ func (v *variant) fuseNodes(fis []fInst, end int) op {
 		fi := fis[i]
 		if fi.op == vm.OpNop {
 			// Steps were counted in the preamble; nothing else to do —
-			// the nop (or folded-away lit;drop) costs zero closures.
+			// the nop costs zero closures.
 			continue
 		}
 
 		// The shared vm.Fusions table is the fusion vocabulary: the
-		// same profile-mined sequences the quickener plants are lowered
-		// here into dedicated multi-op closures, so a supermine update
-		// propagates to AOT codegen with no code change in this file.
+		// profile-mined sequences the quickener plants that buildSuper
+		// has a dedicated multi-op closure for are lowered here; the
+		// rest fall through to the generic lit pairs and single nodes.
 		if node, consumed := v.superNode(fis, i, after, next); node != nil {
 			next = node
 			i -= consumed - 1
@@ -1125,33 +775,17 @@ func (v *variant) buildSuper(super vm.Opcode, fis []fInst, i, j int, after []int
 		return v.litLitFetchAddNode(fis[j].arg, fis[j+1].arg, fis[j+2].pc, after[i], next), 4
 
 	case vm.OpQLitFetchAddCFetch:
-		// [lit addr; @; +; c@]. When yet another literal precedes the
-		// sequence it is the +'s second operand — fold all five into
+		// [lit addr; @; +; c@] only when yet another literal precedes
+		// the sequence as the +'s second operand: all five fold into
 		// the fully-constant indexed byte load. The @ (with + and c@
 		// still uncharged) rewinds after[i-1]; the c@ after[i+1].
 		if j > 0 && fis[j-1].op == vm.OpLit {
 			return v.litLitFetchAddCFetchNode(fis[j-1].arg, fis[j].arg,
 				fis[j+1].pc, fis[i].pc, after[i-1], after[i+1], next), 5
 		}
-		return v.litFetchAddCFetchNode(fis[j].arg,
-			fis[j+1].pc, fis[i].pc, after[i-1], after[i+1], next), 4
-
-	case vm.OpQLitFetchLitGe:
-		// [lit addr; @; lit b; >=]: @ (second of four) failing leaves
-		// the trailing lit and >= uncharged: after[i-1].
-		return v.litFetchLitGeNode(fis[j].arg, fis[j+2].arg, fis[j+1].pc, after[i-1], next), 4
-
-	case vm.OpQSwapLitRshiftSwap:
-		return v.swapLitRshiftSwapNode(fis[j+1].arg, next), 4
-
-	case vm.OpQLitLshiftOverLit:
-		return v.litLshiftOverLitNode(fis[j].arg, fis[i].arg, next), 4
 
 	case vm.OpQLitLitPlusStore:
 		return v.litLitPlusStoreNode(fis[j].arg, fis[j+1].arg, fis[i].pc, after[i+1], next), 3
-
-	case vm.OpQDupLitEq:
-		return v.dupLitEqNode(fis[j+1].arg, next), 3
 
 	case vm.OpQLitFetchAdd:
 		// [lit addr; @; +]: @ (second of three) failing leaves the +
@@ -1175,7 +809,7 @@ func (v *variant) buildSuper(super vm.Opcode, fis []fInst, i, j int, after []int
 // this block is built, so it must be looked up at run time).
 func (v *variant) blockExit(end int) op {
 	return func(s *state, sp, rp int) (op, int, int) {
-		return v.fallTo(s, end, sp, rp)
+		return v.goTo(s, end, sp, rp)
 	}
 }
 
@@ -1416,71 +1050,6 @@ func (v *variant) litLitFetchAddCFetchNode(c, addr vm.Cell, pcF, pcC int, backF,
 	}
 }
 
-// litFetchAddCFetchNode fuses [lit addr; @; +; c@] with a dynamic
-// first addend (entry TOS): it pushes mem[y + mem[addr]] as a byte,
-// consuming y. Each fallible step reproduces its baseline state.
-func (v *variant) litFetchAddCFetchNode(addr vm.Cell, pcF, pcC int, backF, backC int64, next op) op {
-	v.stats.Nodes++
-	return func(s *state, sp, rp int) (op, int, int) {
-		x, ok := s.m.CellAt(addr)
-		if !ok {
-			s.st[sp] = addr
-			s.steps -= backF
-			return s.failAt(pcF, vm.OpFetch, "memory access out of range", sp+1, rp)
-		}
-		a2 := s.st[sp-1] + x
-		b, ok := s.m.ByteAt(a2)
-		if !ok {
-			s.st[sp-1] = a2
-			s.steps -= backC
-			return s.failAt(pcC, vm.OpCFetch, "memory access out of range", sp, rp)
-		}
-		s.st[sp-1] = vm.Cell(b)
-		return next(s, sp, rp)
-	}
-}
-
-// litFetchLitGeNode fuses [lit addr; @; lit b; >=] into one push of
-// the flag mem[addr] >= b — the loop-bound test idiom. Only the @ can
-// fail; its baseline state has just the address pushed.
-func (v *variant) litFetchLitGeNode(addr, b vm.Cell, pc int, back int64, next op) op {
-	v.stats.Nodes++
-	return func(s *state, sp, rp int) (op, int, int) {
-		x, ok := s.m.CellAt(addr)
-		if !ok {
-			s.st[sp] = addr
-			s.steps -= back
-			return s.failAt(pc, vm.OpFetch, "memory access out of range", sp+1, rp)
-		}
-		s.st[sp] = interp.Flag(x >= b)
-		return next(s, sp+1, rp)
-	}
-}
-
-// swapLitRshiftSwapNode fuses [swap; lit k; rshift; swap]: shift NOS
-// right by k in place, leaving TOS untouched. Infallible.
-func (v *variant) swapLitRshiftSwapNode(k vm.Cell, next op) op {
-	v.stats.Nodes++
-	return func(s *state, sp, rp int) (op, int, int) {
-		s.st[sp-2] = interp.ShiftRight(s.st[sp-2], k)
-		return next(s, sp, rp)
-	}
-}
-
-// litLshiftOverLitNode fuses [lit j; lshift; over; lit k]: TOS is
-// shifted left by j in place, then the cell below it is copied up and
-// k pushed. Infallible; net stack effect +2.
-func (v *variant) litLshiftOverLitNode(j, k vm.Cell, next op) op {
-	v.stats.Nodes++
-	return func(s *state, sp, rp int) (op, int, int) {
-		st := s.st
-		st[sp-1] = interp.ShiftLeft(st[sp-1], j)
-		st[sp] = st[sp-2]
-		st[sp+1] = k
-		return next(s, sp+2, rp)
-	}
-}
-
 // litLitPlusStoreNode fuses [lit val; lit addr; +!] into one in-place
 // memory add of a constant at a constant address — the counter-bump
 // idiom. On failure both literals are materialized before reporting
@@ -1497,16 +1066,6 @@ func (v *variant) litLitPlusStoreNode(val, addr vm.Cell, pc int, back int64, nex
 			return s.failAt(pc, vm.OpPlusStore, "memory access out of range", sp+2, rp)
 		}
 		return next(s, sp, rp)
-	}
-}
-
-// dupLitEqNode fuses [dup; lit c; =] into one push of the flag
-// TOS == c, keeping TOS — the case-dispatch probe. Infallible.
-func (v *variant) dupLitEqNode(c vm.Cell, next op) op {
-	v.stats.Nodes++
-	return func(s *state, sp, rp int) (op, int, int) {
-		s.st[sp] = interp.Flag(s.st[sp-1] == c)
-		return next(s, sp+1, rp)
 	}
 }
 
@@ -1555,7 +1114,7 @@ func (v *variant) singleNode(fi fInst, back int64, next op) op {
 	v.stats.Nodes++
 	pc := fi.pc
 	arg := fi.arg
-	fall := fi.pc + int(fi.n)
+	fall := fi.pc + 1
 	switch fi.op {
 	case vm.OpNop:
 		return func(s *state, sp, rp int) (op, int, int) {
@@ -1887,7 +1446,7 @@ func (v *variant) singleNode(fi fInst, back int64, next op) op {
 			if s.st[sp] == 0 {
 				return v.goTo(s, int(arg), sp, rp)
 			}
-			return v.fallTo(s, fall, sp, rp)
+			return v.goTo(s, fall, sp, rp)
 		}
 	case vm.OpCall:
 		return func(s *state, sp, rp int) (op, int, int) {
@@ -1917,7 +1476,7 @@ func (v *variant) singleNode(fi fInst, back int64, next op) op {
 			rs := s.rs
 			rs[rp-1]++
 			if rs[rp-1] == rs[rp-2] {
-				return v.fallTo(s, fall, sp, rp-2)
+				return v.goTo(s, fall, sp, rp-2)
 			}
 			return v.goTo(s, int(arg), sp, rp)
 		}
@@ -1930,7 +1489,7 @@ func (v *variant) singleNode(fi fInst, back int64, next op) op {
 			rs[rp-1] += n
 			now := rs[rp-1] - rs[rp-2]
 			if (old < 0) != (now < 0) {
-				return v.fallTo(s, fall, sp, rp-2)
+				return v.goTo(s, fall, sp, rp-2)
 			}
 			return v.goTo(s, int(arg), sp, rp)
 		}
@@ -2035,60 +1594,24 @@ func (v *variant) litRunNode(vals []vm.Cell, next op) op {
 }
 
 // terminator lowers the block's final control (or invalid) instruction,
-// fusing a comparison or test immediately before a 0branch into one
+// fusing a comparison immediately before a 0branch into one
 // compare-and-branch node. Returns the node and how many fInsts it
 // consumed.
-func (v *variant) terminator(fis []fInst, i, end int) (op, int) {
+func (v *variant) terminator(fis []fInst, i int) (op, int) {
 	fi := fis[i]
 	if fi.op == vm.OpBranchZero && i > 0 {
-		t := int(fi.arg)
-		fall := fi.pc + int(fi.n)
-		prev := fis[i-1]
-		switch prev.op {
+		switch cmp := fis[i-1].op; cmp {
 		case vm.OpEq, vm.OpNe, vm.OpLt, vm.OpGt, vm.OpLe, vm.OpGe, vm.OpULt:
 			v.stats.Nodes++
-			cmp := prev.op
+			t, fall := int(fi.arg), fi.pc+1
 			return func(s *state, sp, rp int) (op, int, int) {
 				st := s.st
 				a, b := st[sp-2], st[sp-1]
 				sp -= 2
 				if cmpTrue(cmp, a, b) {
-					return v.fallTo(s, fall, sp, rp)
+					return v.goTo(s, fall, sp, rp)
 				}
 				return v.goTo(s, t, sp, rp)
-			}, 2
-		case vm.OpZeroEq, vm.OpZeroNe, vm.OpZeroLt, vm.OpZeroGt:
-			v.stats.Nodes++
-			test := prev.op
-			return func(s *state, sp, rp int) (op, int, int) {
-				x := s.st[sp-1]
-				sp--
-				if testTrue(test, x) {
-					return v.fallTo(s, fall, sp, rp)
-				}
-				return v.goTo(s, t, sp, rp)
-			}, 2
-		case vm.OpLit:
-			// Constant condition: the branch direction is known at
-			// compile time. The literal's push/pop nets out; the
-			// preamble's depth precheck still models it.
-			v.stats.Nodes++
-			if prev.arg == 0 {
-				return func(s *state, sp, rp int) (op, int, int) {
-					return v.goTo(s, t, sp, rp)
-				}, 2
-			}
-			return func(s *state, sp, rp int) (op, int, int) {
-				return v.fallTo(s, fall, sp, rp)
-			}, 2
-		case vm.OpDup:
-			// dup; 0branch — test without consuming.
-			v.stats.Nodes++
-			return func(s *state, sp, rp int) (op, int, int) {
-				if s.st[sp-1] == 0 {
-					return v.goTo(s, t, sp, rp)
-				}
-				return v.fallTo(s, fall, sp, rp)
 			}, 2
 		}
 	}

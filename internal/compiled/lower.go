@@ -1,15 +1,15 @@
 package compiled
 
 // Lowering: program → basic blocks → closures. This file holds the
-// block discovery, the per-variant scaffolding, and the fully checked
-// single-step closures that back every pc. The fused fast paths are
-// built in fuse.go; they bail to the single-step closures whenever a
-// block's entry precheck cannot promise the whole block will execute
-// without a stack or step-budget error, and dynamic jumps into the
-// middle of a block (a corrupt return address popped by OpExit) land on
-// them directly. The single-step semantics are an exact port of the
-// switch interpreter — the baseline every engine is differenced
-// against — one instruction per closure call.
+// block discovery, the per-variant scaffolding, the guard transfer loop
+// and the hand-off to the switch baseline. The fused fast paths are
+// built in fuse.go. A block's entry precheck either promises that the
+// whole block runs without a stack or step-budget error, or hands the
+// run to interp.RunSwitch at the block's first pc; a dynamic jump into
+// the middle of a block (a corrupt return address popped by OpExit)
+// hands off the same way. The engine keeps no second copy of the
+// instruction semantics: whatever the fused code cannot promise, the
+// baseline every engine is differenced against finishes itself.
 
 import (
 	"strconv"
@@ -23,7 +23,7 @@ type buildMode int
 const (
 	// buildChecked emits block-entry depth prechecks computed from the
 	// instructions' static effects; blocks that cannot prove headroom
-	// for this run fall back to per-instruction checked execution.
+	// for this run hand the run off to the switch baseline.
 	buildChecked buildMode = iota
 	// buildElided emits no stack-depth checks anywhere on the fast
 	// path: the program's vm.Analyze facts proved every reachable depth
@@ -32,9 +32,9 @@ const (
 )
 
 // variant is one compiled code body: a continuation table with an entry
-// closure for every pc (fused block code at block leaders, single-step
-// closures elsewhere), plus the one-past-the-end slot that reports the
-// baseline's "program counter out of range".
+// closure for every pc (fused block code at block leaders, the hand-off
+// to the switch baseline elsewhere), plus the one-past-the-end slot
+// that reports the baseline's "program counter out of range".
 type variant struct {
 	code []vm.Instr
 	cont []op // len n+1; cont[n] reports PCError(n)
@@ -55,10 +55,10 @@ type variant struct {
 // precheck inline and either jump straight to the block's first
 // fast-path closure (kFirst) or — for the control-transfer block
 // shapes that dominate Forth-style code — execute the whole block
-// right inside the transfer loop (kCall..kDup0Br) with no dispatch at
-// all. kNone marks pcs with no fast entry (non-leaders); transfers
-// then fall back to the cont table, whose guarded entry closures
-// handle bail-out and mid-block entry exactly. In the elided variant
+// right inside the transfer loop (kCall..kRFetchTest0Br) with no
+// dispatch at all. kNone marks pcs with no fast entry (non-leaders);
+// transfers then fall back to the cont table, whose entry closures
+// hand off to the switch baseline exactly. In the elided variant
 // the depth fields are zero — vacuously true — leaving only the
 // step-budget charge.
 // The struct is deliberately packed small: the transfer loop loads one
@@ -129,7 +129,7 @@ func build(p *vm.Program, mode buildMode) *variant {
 		elided: mode == buildElided}
 	v.cont[n] = endOfCode(n)
 	for pc := 0; pc < n; pc++ {
-		v.cont[pc] = v.stepAt(pc)
+		v.cont[pc] = handOff(pc)
 	}
 	leaders := findLeaders(p)
 	for pc := 0; pc < n; pc++ {
@@ -258,10 +258,10 @@ func (s *state) failAt(pc int, failOp vm.Opcode, msg string, sp, rp int) (op, in
 // inside this loop, paying zero dispatches. The precheck is the same
 // deterministic predicate the block's entry closure would evaluate, so
 // falling back to cont[t] whenever it fails (or the pc has no fast
-// entry) reproduces the bail-out and mid-block-entry paths exactly.
+// entry) reaches the same hand-off the entry closure would.
 // The loop cannot spin: every iteration charges the target block's
 // full step count, so the budget check eventually fails and hands the
-// remainder to the single-step fallback.
+// remainder to the switch baseline.
 func (v *variant) goTo(s *state, t, sp, rp int) (op, int, int) {
 	// The step budget rides through the loop as a register-resident
 	// fuel counter so chasing a chain of blocks stores nothing; it is
@@ -409,620 +409,21 @@ func (v *variant) goTo(s *state, t, sp, rp int) (op, int, int) {
 	}
 }
 
-// fallTo is the control transfer for targets known in-range at compile
-// time (a block's fall-through successor). The guard loop may still
-// chase into arbitrary targets (an exit block pops a computed pc), so
-// it shares goTo's full logic.
-func (v *variant) fallTo(s *state, t, sp, rp int) (op, int, int) {
-	return v.goTo(s, t, sp, rp)
-}
-
-// stepAt wraps the single-step executor as this pc's addressable entry
-// closure.
-func (v *variant) stepAt(pc int) op {
+// handOff returns the entry closure that finishes the run on the switch
+// baseline from pc: it writes the trampoline's stack pointers, pc and
+// step count back into the machine and lets interp.RunSwitch take the
+// run to its end. That is exact by construction, and it is cold: only
+// a failed block precheck (blockNeeds makes the precheck exact, so the
+// baseline then errors inside that block) or a dynamic jump into the
+// middle of a block (a corrupt return address popped by OpExit) gets
+// here.
+func handOff(pc int) op {
 	return func(s *state, sp, rp int) (op, int, int) {
-		return v.step(s, pc, sp, rp)
-	}
-}
-
-// step executes exactly one instruction with full checks — a
-// one-iteration port of the switch interpreter's loop body. It is the
-// fallback the fused paths bail to, so its semantics (check order,
-// partial state on error, step accounting) must match the baseline
-// bit for bit.
-func (v *variant) step(s *state, pc, sp, rp int) (op, int, int) {
-	ins := v.code[pc]
-	if s.steps >= s.limit {
-		return s.failAt(pc, vm.CanonicalInstr(ins).Op, interp.MsgStepLimit, sp, rp)
-	}
-	s.steps++
-	st, rs := s.st, s.rs
-	m := s.m
-	switch ins.Op {
-	case vm.OpNop:
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLit:
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = ins.Arg
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpAdd:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] += st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpSub:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] -= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMul:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] *= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpDiv:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] == 0 {
-			return s.failAt(pc, ins.Op, "division by zero", sp, rp)
-		}
-		st[sp-2] = interp.FloorDiv(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMod:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] == 0 {
-			return s.failAt(pc, ins.Op, "division by zero", sp, rp)
-		}
-		st[sp-2] = interp.FloorMod(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpNegate:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = -st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpAbs:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] < 0 {
-			st[sp-1] = -st[sp-1]
-		}
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpMin:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] < st[sp-2] {
-			st[sp-2] = st[sp-1]
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMax:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] > st[sp-2] {
-			st[sp-2] = st[sp-1]
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpAnd:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] &= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpOr:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] |= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpXor:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] ^= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpInvert:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = ^st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLshift:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.ShiftLeft(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpRshift:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.ShiftRight(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpOnePlus:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1]++
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpOneMinus:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1]--
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpTwoStar:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] <<= 1
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpTwoSlash:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] >>= 1
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCells:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] *= vm.CellSize
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLitAdd:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] += ins.Arg
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpEq:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] == st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpNe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] != st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpLt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] < st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpGt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] > st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpLe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] <= st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpGe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] >= st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpULt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(uint64(st[sp-2]) < uint64(st[sp-1]))
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpZeroEq:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] == 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroNe:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] != 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroLt:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] < 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroGt:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] > 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpDup:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpDrop:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpSwap:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1], st[sp-2] = st[sp-2], st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpOver:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-2]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpRot:
-		if sp < 3 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-3], st[sp-2], st[sp-1] = st[sp-2], st[sp-1], st[sp-3]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpMinusRot:
-		if sp < 3 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-3], st[sp-2], st[sp-1] = st[sp-1], st[sp-3], st[sp-2]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpNip:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpTuck:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		st[sp-1] = st[sp-2]
-		st[sp-2] = st[sp]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpTwoDup:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp+2 > len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-2]
-		st[sp+1] = st[sp-1]
-		return v.cont[pc+1], sp + 2, rp
-
-	case vm.OpTwoDrop:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpToR:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp == len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = st[sp-1]
-		return v.cont[pc+1], sp - 1, rp + 1
-
-	case vm.OpRFrom:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp - 1
-
-	case vm.OpRFetch:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpFetch:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		x, ok := m.CellAt(st[sp-1])
-		if !ok {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		st[sp-1] = x
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if !m.SetCellAt(st[sp-1], st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpCFetch:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		c, ok := m.ByteAt(st[sp-1])
-		if !ok {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		st[sp-1] = vm.Cell(c)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if !m.SetByteAt(st[sp-1], st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpPlusStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		addr := st[sp-1]
-		x, ok := m.CellAt(addr)
-		if !ok || !m.SetCellAt(addr, x+st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpBranch:
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpBranchZero:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		sp--
-		if st[sp] == 0 {
-			return v.goTo(s, int(ins.Arg), sp, rp)
-		}
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCall:
-		if rp == len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = vm.Cell(pc + 1)
-		return v.goTo(s, int(ins.Arg), sp, rp+1)
-
-	case vm.OpExit:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		rp--
-		return v.goTo(s, int(rs[rp]), sp, rp)
-
-	case vm.OpHalt:
-		s.pc = pc
-		return nil, sp, rp
-
-	case vm.OpDo:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp+2 > len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = st[sp-2]   // limit
-		rs[rp+1] = st[sp-1] // index
-		return v.cont[pc+1], sp - 2, rp + 2
-
-	case vm.OpLoop:
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		rs[rp-1]++
-		if rs[rp-1] == rs[rp-2] {
-			return v.cont[pc+1], sp, rp - 2
-		}
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpPlusLoop:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		n := st[sp-1]
-		sp--
-		old := rs[rp-1] - rs[rp-2]
-		rs[rp-1] += n
-		now := rs[rp-1] - rs[rp-2]
-		if (old < 0) != (now < 0) {
-			return v.cont[pc+1], sp, rp - 2
-		}
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpI:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpJ:
-		if rp < 3 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-3]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpUnloop:
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp, rp - 2
-
-	case vm.OpEmit:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		m.Out.WriteByte(byte(st[sp-1]))
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpDot:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		writeDot(m, st[sp-1])
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpType:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		addr, n := st[sp-2], st[sp-1]
-		if !m.RangeOK(addr, n) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		m.Out.Write(m.Mem[addr : addr+n])
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpDepth:
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = vm.Cell(sp)
-		return v.cont[pc+1], sp + 1, rp
-
-	// Unreachable: Compile unquickens, so v.code holds no
-	// superinstructions. The arms keep this switch total and de-fuse to
-	// the first constituent (which also names the reported error op).
-	case vm.OpQLitFetch, vm.OpQLitFetchAdd, vm.OpQLitLitFetchAdd,
-		vm.OpQLitFetchAddCFetch, vm.OpQLitFetchLitGe, vm.OpQLitPlusStore,
-		vm.OpQLitLitPlusStore, vm.OpQLitEq, vm.OpQLitLshiftOverLit:
-		if sp == len(st) {
-			return s.failAt(pc, vm.OpLit, "stack overflow", sp, rp)
-		}
-		st[sp] = ins.Arg
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpQAddCFetch:
-		if sp < 2 {
-			return s.failAt(pc, vm.OpAdd, "stack underflow", sp, rp)
-		}
-		st[sp-2] += st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpQDupLitEq:
-		if sp < 1 {
-			return s.failAt(pc, vm.OpDup, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, vm.OpDup, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpQSwapLitRshiftSwap:
-		if sp < 2 {
-			return s.failAt(pc, vm.OpSwap, "stack underflow", sp, rp)
-		}
-		st[sp-1], st[sp-2] = st[sp-2], st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	default:
-		return s.failAt(pc, ins.Op, "invalid opcode", sp, rp)
+		m := s.m
+		m.SP, m.RP, m.PC, m.Steps = sp, rp, pc, s.steps
+		s.err = interp.RunSwitch(m)
+		s.pc, s.steps = m.PC, m.Steps
+		return nil, m.SP, m.RP
 	}
 }
 
