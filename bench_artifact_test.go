@@ -2,8 +2,8 @@ package stackcache
 
 // Cold vs warm artifact acquisition over the paper's four workloads —
 // the acceptance benchmark for the on-disk artifact tier. "Cold" runs
-// the full pipeline from source (compile, verify, quicken, re-verify,
-// analyze, persist); "warm" is a fresh store over an already-populated
+// the full pipeline from source (compile, verify, optimize, validate,
+// analyze, quicken, re-verify, persist); "warm" is a fresh store over an already-populated
 // cache directory, i.e. what a restarted vmd pays before first
 // execution. The two phases run in tightly interleaved A/B rounds
 // (best round kept) so machine drift cannot bias the comparison, and
@@ -24,15 +24,12 @@ import (
 )
 
 // acquireUnit resolves one workload source through a fresh store (so
-// nothing is served from memory) rooted at dir, returning the outcome.
+// nothing is served from memory) rooted at dir, with vmd's default
+// Quicken and Optimize policy, returning the outcome.
 func acquireUnit(tb testing.TB, dir, src string) artifact.Outcome {
 	tb.Helper()
 	opts := forth.Options{}
-	store := artifact.NewStore(artifact.Config{
-		Dir:         dir,
-		Quicken:     true,
-		Fingerprint: "quicken=true",
-	})
+	store := artifact.NewStore(artifact.Config{Dir: dir, Quicken: true, Optimize: true})
 	_, outcome, err := store.GetOrBuild(
 		"src:"+artifact.SourceHash(opts.CacheKey(), src),
 		func() (*vm.Program, error) { return forth.CompileWithOptions(src, opts) },

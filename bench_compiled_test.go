@@ -30,11 +30,7 @@ var paperWorkloads = []string{"compile", "gray", "prims2x", "cross"}
 func servedProgram(tb testing.TB, src string) (*vm.Program, *vm.Facts) {
 	tb.Helper()
 	opts := forth.Options{}
-	store := artifact.NewStore(artifact.Config{
-		Quicken:     true,
-		Optimize:    true,
-		Fingerprint: "quicken=true,optimize=true",
-	})
+	store := artifact.NewStore(artifact.Config{Quicken: true, Optimize: true})
 	u, _, err := store.GetOrBuild(
 		"src:"+artifact.SourceHash(opts.CacheKey(), src),
 		func() (*vm.Program, error) { return forth.CompileWithOptions(src, opts) },

@@ -292,7 +292,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "executor goroutines (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "submission queue depth (0 = 4x workers)")
-		cache    = flag.Int("cache", 256, "program cache entries")
+		cache    = flag.Int("cache", 256, "program cache units (the artifact store's memory tier)")
 		maxSteps = flag.Int64("maxsteps", 1<<24, "default per-request step budget")
 		ceiling  = flag.Int64("ceiling", 1<<30, "largest step budget a request may ask for")
 		maxOut   = flag.Int("maxout", 1<<20, "per-request output budget in bytes")
@@ -337,18 +337,20 @@ stack, step counts, error classes) identical to plain execution:
 
 Persistence:
 
-  -cachedir writes every compiled artifact (quickened bytecode plus its
-            analysis facts, checksummed) to the named directory and
-            reads it back on later runs: a restarted vmd serves a
+  -cachedir adds a disk tier to the program cache, which is one
+            artifact store (-cache bounds its memory tier). Every
+            compiled artifact (quickened bytecode plus its analysis
+            facts, checksummed) is written to the named directory and
+            read back on later runs: a restarted vmd serves a
             previously-seen program without re-compiling, re-verifying
-            or re-analyzing it. Entries are keyed by source hash and a
-            policy fingerprint (compile options + -quicken +
-            -optimize), so a
-            directory is shared safely between processes only when
-            those agree; corrupt or mismatched entries are recomputed,
-            never trusted. /metrics reports the tiers under
-            vmd_artifact_total{stage,outcome} ("disk_hit" counts warm
-            starts).
+            or re-analyzing it. Entries are keyed by source hash
+            (compile options + source) and a policy fingerprint the
+            store derives from -quicken and -optimize, so a directory
+            is shared safely between processes (forthvm -cachedir
+            too) only when those agree; corrupt or mismatched entries
+            are recomputed, never trusted. /metrics reports the tiers
+            under vmd_artifact_total{stage,outcome} ("disk_hit" counts
+            warm starts).
 `)
 	}
 	flag.Parse()

@@ -17,7 +17,11 @@
 //     (hash, policy fingerprint) with single-flight builds and an
 //     optional on-disk tier (Config.Dir) that serializes quickened
 //     bytecode and facts, checksum-verified on load, so a restarted
-//     daemon warm-starts without recompiling or re-analyzing.
+//     daemon warm-starts without recompiling or re-analyzing. The
+//     fingerprint is derived from the store's Quicken and Optimize
+//     settings. The service's program cache is the store: its hits are
+//     Store.Lookup, its misses GetOrBuild, so what the service serves
+//     and what Of resolves are always the same unit.
 //   - Of: the identity view engines use at run time. Every unit a
 //     store publishes is registered by program pointer; Of(p) finds it
 //     without hashing, and interns a bare unit for programs that never
@@ -51,6 +55,10 @@ type Unit struct {
 	// counts the rewritten or deleted instruction slots per pass.
 	Optimized    bool
 	OptimizedOps [vm.NumOptPasses]int
+
+	// hash is the owning store's in-memory key for the unit (Key
+	// without the policy fingerprint); "" for bare units.
+	hash string
 
 	factsOnce sync.Once
 	facts     *vm.Facts
@@ -109,16 +117,16 @@ func (u *Unit) Prepared(key string, build func() (any, error)) (any, error) {
 
 // SourceHash is the canonical content address for (compile options,
 // source) pairs: hex SHA-256 over the options' cache key, a zero
-// separator, and the source. The service's program cache and the CLIs
-// share it, so a forthvm -cachedir can warm-start from a vmd cache
-// directory (and vice versa) when their options and quicken settings
-// agree.
+// separator, and the source. The service and the CLIs share it, so a
+// forthvm -cachedir can warm-start from a vmd cache directory (and
+// vice versa) when their options, quicken and optimize settings agree.
 func SourceHash(optKey, src string) string {
 	h := sha256.New()
 	h.Write([]byte(optKey))
 	h.Write([]byte{0})
 	h.Write([]byte(src))
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // maxIdentity bounds the program-pointer index. Programs are interned

@@ -68,7 +68,7 @@ func (s *Store) loadDisk(key string) (*Unit, bool) {
 	if err != nil {
 		return nil, false
 	}
-	u, err := decodeUnit(raw, key, s.cfg.Fingerprint)
+	u, err := decodeUnit(raw, key, s.fp)
 	if err != nil {
 		s.corrupt.Add(1)
 		_ = os.Remove(path)
@@ -82,7 +82,7 @@ func (s *Store) loadDisk(key string) (*Unit, bool) {
 // entry or none — never a torn one (torn temp files fail the checksum
 // anyway).
 func (s *Store) persistDisk(u *Unit) error {
-	payload, err := encodeUnit(u, s.cfg.Fingerprint)
+	payload, err := encodeUnit(u, s.fp)
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,7 @@ func TestStoreOptimizeRefusalServesUnoptimized(t *testing.T) {
 
 func TestStoreOptimizedUnitDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Optimize: true, Quicken: true, Fingerprint: "quicken=true,optimize=true"}
+	cfg := Config{Dir: dir, Optimize: true, Quicken: true}
 
 	s1 := NewStore(cfg)
 	u1, out := mustGet(t, s1, "k-disk", produceSrc(t, optSrc))
@@ -103,22 +103,26 @@ func TestStoreOptimizedUnitDiskRoundTrip(t *testing.T) {
 
 func TestStoreOptimizeFingerprintSeparation(t *testing.T) {
 	// An optimize=true store must never read an optimize=false
-	// store's disk entries (and vice versa); the fingerprint is the
-	// separator, exactly as with quickening.
+	// store's disk entries, and vice versa; the fingerprint derived
+	// from Optimize is the separator, exactly as with quickening.
 	dir := t.TempDir()
-	sOff := NewStore(Config{Dir: dir, Fingerprint: "quicken=false,optimize=false"})
-	uOff, _ := mustGet(t, sOff, "k-fp", produceSrc(t, optSrc))
+	off := Config{Dir: dir, Quicken: true}
+	on := Config{Dir: dir, Quicken: true, Optimize: true}
+	uOff, _ := mustGet(t, NewStore(off), "k-fp", produceSrc(t, optSrc))
 	if uOff.Optimized {
 		t.Fatal("optimize=false store optimized")
 	}
 
-	sOn := NewStore(Config{Dir: dir, Optimize: true, Fingerprint: "quicken=false,optimize=true"})
-	uOn, out := mustGet(t, sOn, "k-fp", produceSrc(t, optSrc))
+	uOn, out := mustGet(t, NewStore(on), "k-fp", produceSrc(t, optSrc))
 	if out == DiskHit {
 		t.Fatal("optimize=true store read the optimize=false entry")
 	}
 	if !uOn.Optimized {
 		t.Error("optimize=true store served an unoptimized unit")
+	}
+
+	if u, out := mustGet(t, NewStore(off), "k-fp", produceSrc(t, optSrc)); out != DiskHit || u.Optimized {
+		t.Errorf("reopened optimize=false store: outcome=%v optimized=%v, want its own disk entry", out, u.Optimized)
 	}
 }
 

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +44,8 @@ type Config struct {
 	// Dir, when non-empty, enables the on-disk tier: every built unit
 	// is persisted there and lookups consult it on memory miss.
 	Dir string
-	// Quicken rewrites verified programs to superinstructions before
-	// analysis, exactly like the service's cache-time quickening.
+	// Quicken rewrites verified programs to superinstructions
+	// (vm.Quicken) and re-verifies the result.
 	Quicken bool
 	// Optimize runs the static optimizer over verified programs and
 	// adopts the rewrite only when the translation validator
@@ -53,11 +54,6 @@ type Config struct {
 	// happens before quickening, so superinstruction fusion sees the
 	// optimized instruction stream.
 	Optimize bool
-	// Fingerprint is the policy fingerprint folded into every key.
-	// Two stores with different fingerprints never share entries, in
-	// memory or on disk — a -quicken=false restart must not serve
-	// quickened units.
-	Fingerprint string
 }
 
 // Store is a bounded content-addressed cache of Units with
@@ -66,6 +62,17 @@ type Config struct {
 type Store struct {
 	cfg Config
 
+	// fp is the policy fingerprint folded into every store key and
+	// written into every unit file, derived from the Config fields that
+	// shape a unit: two stores with different policies never share
+	// entries, in memory or on disk — a -quicken=false restart must not
+	// serve quickened units. Its format is fixed, because existing
+	// cache directories are addressed by it.
+	fp string
+
+	// The in-memory tier is keyed by the caller's hash alone: every
+	// unit in one store shares its fingerprint, which completes the key
+	// only in Unit.Key and on disk.
 	mu       sync.Mutex
 	lru      *list.List // of *Unit, front = most recent
 	byKey    map[string]*list.Element
@@ -122,6 +129,7 @@ func NewStore(cfg Config) *Store {
 	}
 	return &Store{
 		cfg:      cfg,
+		fp:       "quicken=" + strconv.FormatBool(cfg.Quicken) + ",optimize=" + strconv.FormatBool(cfg.Optimize),
 		lru:      list.New(),
 		byKey:    make(map[string]*list.Element),
 		inflight: make(map[string]*inflightUnit),
@@ -150,26 +158,36 @@ func (s *Store) Len() int {
 	return s.lru.Len()
 }
 
+// Lookup returns the unit resident for hash and marks it most recently
+// used. It never builds, never consults the disk tier and counts
+// nothing: a caller with its own hit accounting (the service) takes
+// this hot path first and falls back to GetOrBuild.
+func (s *Store) Lookup(hash string) (*Unit, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.byKey[hash]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*Unit), true
+}
+
 // GetOrBuild returns the unit for hash, staging through the tiers:
 // memory LRU, in-flight build join, disk (when configured), and
 // finally produce → verify → optimize+validate → quicken → analyze →
-// persist. The full
-// store key is (hash, Fingerprint). Failed builds are never cached;
-// concurrent callers for one key share a single build and its error.
+// persist. The full store key is (hash, policy fingerprint). Failed
+// builds are never cached; concurrent callers for one key share a
+// single build and its error.
 func (s *Store) GetOrBuild(hash string, produce func() (*vm.Program, error)) (*Unit, Outcome, error) {
-	key := hash
-	if s.cfg.Fingerprint != "" {
-		key = hash + "|" + s.cfg.Fingerprint
-	}
-
 	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
+	if el, ok := s.byKey[hash]; ok {
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		s.memoryHits.Add(1)
 		return el.Value.(*Unit), MemoryHit, nil
 	}
-	if fl, ok := s.inflight[key]; ok {
+	if fl, ok := s.inflight[hash]; ok {
 		s.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
@@ -179,28 +197,29 @@ func (s *Store) GetOrBuild(hash string, produce func() (*vm.Program, error)) (*U
 		return fl.unit, Coalesced, nil
 	}
 	fl := &inflightUnit{done: make(chan struct{})}
-	s.inflight[key] = fl
+	s.inflight[hash] = fl
 	s.mu.Unlock()
 
-	fl.unit, fl.outcome, fl.err = s.build(key, produce)
+	fl.unit, fl.outcome, fl.err = s.build(hash+"|"+s.fp, produce)
 
 	var evicted []*Unit
 	s.mu.Lock()
-	delete(s.inflight, key)
+	delete(s.inflight, hash)
 	if fl.err == nil {
-		if el, ok := s.byKey[key]; ok {
+		if el, ok := s.byKey[hash]; ok {
 			// A concurrent path published first (possible only across
 			// fingerprint-sharing stores reopening the same dir);
 			// prefer the resident unit so identity stays unique.
 			s.lru.MoveToFront(el)
 			fl.unit = el.Value.(*Unit)
 		} else {
-			s.byKey[key] = s.lru.PushFront(fl.unit)
+			fl.unit.hash = hash
+			s.byKey[hash] = s.lru.PushFront(fl.unit)
 			for s.lru.Len() > s.cfg.MaxUnits {
 				back := s.lru.Back()
 				u := back.Value.(*Unit)
 				s.lru.Remove(back)
-				delete(s.byKey, u.Key)
+				delete(s.byKey, u.hash)
 				evicted = append(evicted, u)
 				s.evictions.Add(1)
 			}
@@ -219,8 +238,7 @@ func (s *Store) GetOrBuild(hash string, produce func() (*vm.Program, error)) (*U
 }
 
 // build resolves a key miss: disk first (when configured), then the
-// produce callback with the same verify/quicken/analyze gate the
-// service's program cache has always enforced.
+// produce callback through the verify/optimize/quicken/analyze gate.
 func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, Outcome, error) {
 	if s.cfg.Dir != "" {
 		if u, ok := s.loadDisk(key); ok {

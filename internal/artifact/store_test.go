@@ -136,7 +136,7 @@ func TestStoreVerifyGate(t *testing.T) {
 }
 
 func TestStoreQuickens(t *testing.T) {
-	s := NewStore(Config{Quicken: true, Fingerprint: "quicken=true"})
+	s := NewStore(Config{Quicken: true})
 	u, _ := mustGet(t, s, "k", produceSrc(t, quickSrc))
 	if !u.Quickened || u.QuickenedOps != 2 {
 		t.Fatalf("quickened=%v ops=%d, want true/2", u.Quickened, u.QuickenedOps)
@@ -176,7 +176,7 @@ func TestStoreLRUEviction(t *testing.T) {
 
 func TestStoreDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cold := NewStore(Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true"})
+	cold := NewStore(Config{Dir: dir, Quicken: true, Optimize: true})
 	u1, out := mustGet(t, cold, "k", produceSrc(t, quickSrc))
 	if out != Miss {
 		t.Fatalf("cold store: outcome %v, want miss", out)
@@ -187,7 +187,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 
 	// A fresh store on the same dir must warm-start: produce must not
 	// run, and the loaded unit must match the cold one bit for bit.
-	warm := NewStore(Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true"})
+	warm := NewStore(Config{Dir: dir, Quicken: true, Optimize: true})
 	u2, out, err := warm.GetOrBuild("k", func() (*vm.Program, error) {
 		t.Fatal("produce ran on a warm store")
 		return nil, nil
@@ -204,6 +204,10 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 	if u2.Quickened != u1.Quickened || u2.QuickenedOps != u1.QuickenedOps {
 		t.Errorf("quickened metadata drifted: %v/%d vs %v/%d",
 			u2.Quickened, u2.QuickenedOps, u1.Quickened, u1.QuickenedOps)
+	}
+	if u2.Optimized != u1.Optimized || u2.OptimizedOps != u1.OptimizedOps {
+		t.Errorf("optimized metadata drifted: %v/%v vs %v/%v",
+			u2.Optimized, u2.OptimizedOps, u1.Optimized, u1.OptimizedOps)
 	}
 	f1, f2 := u1.Facts(), u2.Facts()
 	if f1.Proved != f2.Proved || f1.MaxDepth != f2.MaxDepth || f1.MaxRDepth != f2.MaxRDepth ||
@@ -227,7 +231,7 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 
 func TestStoreDiskCorruptionRecomputed(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore(Config{Dir: dir, Fingerprint: "fp"})
+	s := NewStore(Config{Dir: dir})
 	mustGet(t, s, "k", produceSrc(t, plainSrc))
 
 	entries, err := os.ReadDir(dir)
@@ -251,7 +255,7 @@ func TestStoreDiskCorruptionRecomputed(t *testing.T) {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				// Recreate the entry (a prior subtest deleted it).
-				fresh := NewStore(Config{Dir: dir, Fingerprint: "fp"})
+				fresh := NewStore(Config{Dir: dir})
 				mustGet(t, fresh, "k", produceSrc(t, plainSrc))
 				raw, err = os.ReadFile(path)
 				if err != nil {
@@ -261,7 +265,7 @@ func TestStoreDiskCorruptionRecomputed(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(append([]byte(nil), raw...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			victim := NewStore(Config{Dir: dir, Fingerprint: "fp"})
+			victim := NewStore(Config{Dir: dir})
 			var calls atomic.Int64
 			u, out, err := victim.GetOrBuild("k", func() (*vm.Program, error) {
 				calls.Add(1)
@@ -280,27 +284,70 @@ func TestStoreDiskCorruptionRecomputed(t *testing.T) {
 	}
 }
 
+// TestStoreFingerprintIsolation: stores over one directory that differ
+// in Quicken or Optimize never read each other's unit files, and each
+// policy warm-starts from its own.
 func TestStoreFingerprintIsolation(t *testing.T) {
 	dir := t.TempDir()
-	q := NewStore(Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true"})
-	mustGet(t, q, "k", produceSrc(t, quickSrc))
-
-	// Same hash, different fingerprint: a different full key, so the
-	// plain store must not see the quickened unit — on disk or in
-	// memory.
-	plain := NewStore(Config{Dir: dir, Quicken: false, Fingerprint: "quicken=false"})
-	u, out := mustGet(t, plain, "k", produceSrc(t, quickSrc))
-	if out != Miss {
-		t.Fatalf("outcome %v, want miss (fingerprints must not share entries)", out)
+	policies := []Config{
+		{Dir: dir},
+		{Dir: dir, Quicken: true},
+		{Dir: dir, Optimize: true},
+		{Dir: dir, Quicken: true, Optimize: true},
 	}
-	if u.Quickened {
-		t.Error("quicken=false store served a quickened unit")
+	for _, cfg := range policies {
+		u, out := mustGet(t, NewStore(cfg), "k", produceSrc(t, quickSrc))
+		if out != Miss {
+			t.Fatalf("%+v: outcome %v, want miss (policies must not share entries)", cfg, out)
+		}
+		if u.Quickened != cfg.Quicken || u.Optimized != cfg.Optimize {
+			t.Fatalf("%+v: served quickened=%v optimized=%v", cfg, u.Quickened, u.Optimized)
+		}
 	}
+	for _, cfg := range policies {
+		u, out := mustGet(t, NewStore(cfg), "k", produceSrc(t, quickSrc))
+		if out != DiskHit || u.Quickened != cfg.Quicken || u.Optimized != cfg.Optimize {
+			t.Errorf("%+v: reopened outcome=%v quickened=%v optimized=%v, want disk_hit of its own unit",
+				cfg, out, u.Quickened, u.Optimized)
+		}
+	}
+}
 
-	// Same fingerprint warm-starts from the first store's file.
-	q2 := NewStore(Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true"})
-	if u2, out := mustGet(t, q2, "k", produceSrc(t, quickSrc)); out != DiskHit || !u2.Quickened {
-		t.Errorf("outcome=%v quickened=%v, want disk_hit/true", out, u2.Quickened)
+// TestStoreFingerprintFormat pins the derived fingerprint to the
+// format cache directories were written with, so an upgraded vmd or
+// forthvm keeps disk-hitting them.
+func TestStoreFingerprintFormat(t *testing.T) {
+	dir := t.TempDir()
+	mustGet(t, NewStore(Config{Dir: dir, Quicken: true, Optimize: true}), "k", produceSrc(t, plainSrc))
+	mustGet(t, NewStore(Config{Dir: dir}), "k", produceSrc(t, plainSrc))
+	for _, key := range []string{"k|quicken=true,optimize=true", "k|quicken=false,optimize=false"} {
+		if _, err := os.Stat(unitPath(dir, key)); err != nil {
+			t.Errorf("no unit file under key %q: %v", key, err)
+		}
+	}
+}
+
+// TestStoreLookup: Lookup serves only resident units, counts nothing,
+// and refreshes the unit's LRU position like a memory hit.
+func TestStoreLookup(t *testing.T) {
+	s := NewStore(Config{MaxUnits: 2})
+	if _, ok := s.Lookup("a"); ok {
+		t.Fatal("Lookup found a unit in an empty store")
+	}
+	ua, _ := mustGet(t, s, "a", produceSrc(t, ": main 1 . ;"))
+	mustGet(t, s, "b", produceSrc(t, ": main 2 . ;"))
+	if u, ok := s.Lookup("a"); !ok || u != ua {
+		t.Fatalf("Lookup(a) = %p, %v; want the resident unit %p", u, ok, ua)
+	}
+	mustGet(t, s, "c", produceSrc(t, ": main 3 . ;"))
+	if _, ok := s.Lookup("a"); !ok {
+		t.Error("looked-up unit a was evicted; Lookup must refresh its LRU position")
+	}
+	if _, ok := s.Lookup("b"); ok {
+		t.Error("least recently used unit b survived eviction")
+	}
+	if c := s.Counters(); c.MemoryHits != 0 || c.Misses != 3 || c.Evictions != 1 {
+		t.Errorf("counters = %+v, want 0 memory hits / 3 misses / 1 eviction", c)
 	}
 }
 

@@ -12,7 +12,7 @@
 // bookkeeping and no table dispatch. The lowering additionally
 //
 //   - fuses superinstruction patterns: lit-fed binary ops, compare+
-//     0branch pairs, constant-address memory ops, literal runs,
+//     0branch pairs, constant-address memory ops,
 //   - hoists the per-instruction step-limit and stack-depth checks into
 //     one block-entry precheck,
 //   - tabulates control-transfer blocks as guards the transfer loop

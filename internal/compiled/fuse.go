@@ -311,8 +311,7 @@ func (v *variant) controlKind(g *guard, gc *guardConsts, fis []fInst, end int) b
 	}
 	if len(pres) > 4 {
 		// Long straight-line prefixes run faster as their fused closure
-		// chain (literal runs batch into single nodes there); guard form
-		// stops paying past a few ops.
+		// chain; guard form stops paying past a few ops.
 		return false
 	}
 	switch len(pres) {
@@ -696,20 +695,6 @@ func (v *variant) fuseNodes(fis []fInst, end int) op {
 
 		switch {
 		case fi.op == vm.OpLit:
-			// Maximal literal run, pushed with one copy.
-			j := i
-			for j > 0 && fis[j-1].op == vm.OpLit {
-				j--
-			}
-			if run := i - j + 1; run >= 2 {
-				vals := make([]vm.Cell, run)
-				for x := 0; x < run; x++ {
-					vals[x] = fis[j+x].arg
-				}
-				next = v.litRunNode(vals, next)
-				i = j
-				continue
-			}
 			next = v.litNode(fi.arg, next)
 
 		case i > 0 && fis[i-1].op == vm.OpLit && v.litFusable(fi):
@@ -1580,16 +1565,6 @@ func (v *variant) litNodeRaw(c vm.Cell, next op) op {
 	return func(s *state, sp, rp int) (op, int, int) {
 		s.st[sp] = c
 		return next(s, sp+1, rp)
-	}
-}
-
-// litRunNode pushes a run of literals with one copy.
-func (v *variant) litRunNode(vals []vm.Cell, next op) op {
-	v.stats.Nodes++
-	n := len(vals)
-	return func(s *state, sp, rp int) (op, int, int) {
-		copy(s.st[sp:sp+n], vals)
-		return next(s, sp+n, rp)
 	}
 }
 

@@ -1,37 +1,47 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"stackcache/internal/artifact"
+	"stackcache/internal/compiled"
 	"stackcache/internal/forth"
 )
 
-func testCache(max int, m *Metrics) *ProgramCache {
-	return NewProgramCache(max, forth.Options{}, m)
-}
-
 func srcN(i int) string { return fmt.Sprintf(": main %d . ;", i) }
 
-func TestCacheHitMiss(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
+// compileOutcome compiles src through s and reports whether the cache
+// served it.
+func compileOutcome(t *testing.T, s *Service, src string) (key string, served bool) {
+	t.Helper()
+	key, served, err := s.Compile(src)
+	if err != nil {
+		t.Fatalf("compile %q: %v", src, err)
+	}
+	return key, served
+}
 
-	e1, kind, err := c.Get(srcN(1))
-	if err != nil || kind != lookupMiss {
-		t.Fatalf("first get: kind %v err %v", kind, err)
+func TestCacheHitMiss(t *testing.T) {
+	s := mustService(t)
+	k1, served := compileOutcome(t, s, srcN(1))
+	if served {
+		t.Fatal("first compile was served from the cache")
 	}
-	e2, kind, err := c.Get(srcN(1))
-	if err != nil || kind != lookupHit {
-		t.Fatalf("second get: kind %v err %v", kind, err)
+	k2, served := compileOutcome(t, s, srcN(1))
+	if !served || k1 != k2 {
+		t.Fatalf("second compile: served=%v key %q vs %q", served, k2, k1)
 	}
-	if e1 != e2 {
-		t.Error("same source returned distinct entries")
+	snap := s.Stats()
+	if snap.CacheMisses != 1 || snap.CacheHits != 1 {
+		t.Errorf("misses %d hits %d, want 1/1", snap.CacheMisses, snap.CacheHits)
 	}
-	if m.cacheMisses.Load() != 1 || m.cacheHits.Load() != 1 {
-		t.Errorf("misses %d hits %d, want 1/1", m.cacheMisses.Load(), m.cacheHits.Load())
+	// A service hit is a resident lookup, not a store memory hit: the
+	// store counts only what reached GetOrBuild.
+	if a := snap.Artifact; a.Misses != 1 || a.MemoryHits != 0 {
+		t.Errorf("artifact counters %+v, want 1 miss / 0 memory hits", a)
 	}
 }
 
@@ -50,115 +60,137 @@ func TestCacheKeyIncludesOptions(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	var m Metrics
 	const max = 4
-	c := testCache(max, &m)
-
+	s := mustService(t, func(c *Config) { c.CacheSize = max })
 	for i := 0; i < max; i++ {
-		if _, _, err := c.Get(srcN(i)); err != nil {
-			t.Fatal(err)
-		}
+		compileOutcome(t, s, srcN(i))
 	}
 	// Touch entry 0 so it is the most recently used, then overflow:
 	// entry 1 must be the victim.
-	if _, kind, _ := c.Get(srcN(0)); kind != lookupHit {
-		t.Fatalf("entry 0 not cached before overflow")
+	if _, served := compileOutcome(t, s, srcN(0)); !served {
+		t.Fatal("entry 0 not cached before overflow")
 	}
-	if _, _, err := c.Get(srcN(max)); err != nil {
-		t.Fatal(err)
+	compileOutcome(t, s, srcN(max))
+	snap := s.Stats()
+	if snap.CacheSize != max {
+		t.Errorf("cache size %d after eviction, want %d", snap.CacheSize, max)
 	}
-	if got := c.Len(); got != max {
-		t.Errorf("cache size %d after eviction, want %d", got, max)
+	if snap.CacheEvictions != 1 {
+		t.Errorf("evictions %d, want 1", snap.CacheEvictions)
 	}
-	if m.cacheEvictions.Load() != 1 {
-		t.Errorf("evictions %d, want 1", m.cacheEvictions.Load())
-	}
-	if _, kind, _ := c.Get(srcN(0)); kind != lookupHit {
+	if _, served := compileOutcome(t, s, srcN(0)); !served {
 		t.Error("recently-used entry 0 was evicted")
 	}
-	if _, kind, _ := c.Get(srcN(1)); kind != lookupMiss {
+	if _, served := compileOutcome(t, s, srcN(1)); served {
 		t.Error("least-recently-used entry 1 survived eviction")
 	}
 }
 
-// TestCacheSingleFlight proves the dedup contract: N concurrent
-// requests for the same novel source observe exactly one compile.
+// TestCacheSingleFlight: N concurrent lookups of one novel source cost
+// one compile; every other lookup is a hit or a join onto that build,
+// and all of them get the same program.
 func TestCacheSingleFlight(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
-
-	var compiles atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	c.onCompile = func(string) {
-		compiles.Add(1)
-		close(started) // panics if a second compile ever starts
-		<-release
-	}
-
+	s := mustService(t)
 	const n = 16
 	var wg sync.WaitGroup
-	entries := make([]*Entry, n)
+	keys := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, _, err := c.Get(": main 42 . ;")
+			k, _, err := s.Compile(": main 42 . ;")
 			if err != nil {
 				t.Error(err)
 			}
-			entries[i] = e
+			keys[i] = k
 		}(i)
 	}
-	<-started // one compile is in flight; everyone else must wait on it
-	release <- struct{}{}
-	close(release)
 	wg.Wait()
-
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("%d compiles for one source, want exactly 1", got)
-	}
 	for i := 1; i < n; i++ {
-		if entries[i] != entries[0] {
-			t.Fatal("waiters got distinct entries")
+		if keys[i] != keys[0] {
+			t.Fatal("concurrent lookups got distinct programs")
 		}
 	}
-	if m.cacheMisses.Load() != 1 {
-		t.Errorf("misses %d, want 1", m.cacheMisses.Load())
+	snap := s.Stats()
+	if snap.CacheMisses != 1 || snap.Artifact.Misses != 1 {
+		t.Errorf("service misses %d, store builds %d, want exactly 1 each",
+			snap.CacheMisses, snap.Artifact.Misses)
 	}
-	if m.cacheHits.Load()+m.cacheCoalesced.Load() != n-1 {
-		t.Errorf("hits %d + coalesced %d, want %d",
-			m.cacheHits.Load(), m.cacheCoalesced.Load(), n-1)
+	if snap.CacheHits+snap.CacheCoalesced != n-1 {
+		t.Errorf("hits %d + coalesced %d, want %d", snap.CacheHits, snap.CacheCoalesced, n-1)
 	}
 }
 
 // TestCacheFailedCompileNotCached checks that a failing compile is
-// reported but never enters the cache — retrying recompiles, and a
-// subsequent fixed source is unaffected.
+// reported but never enters the cache: a retry compiles again.
 func TestCacheFailedCompileNotCached(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
-
-	var compiles atomic.Int64
-	c.onCompile = func(string) { compiles.Add(1) }
-
+	s := mustService(t)
 	bad := ": main no-such-word ;"
-	if _, _, err := c.Get(bad); err == nil {
-		t.Fatal("bad source compiled")
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Compile(bad); Classify(err) != ClassCompile {
+			t.Fatalf("compile %d of a bad source: %v, want a compile error", i, err)
+		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failed compile entered the cache (size %d)", c.Len())
+	snap := s.Stats()
+	if snap.CacheMisses != 2 || snap.CacheHits != 0 {
+		t.Errorf("misses %d hits %d, want 2/0 (failures are never cached)", snap.CacheMisses, snap.CacheHits)
 	}
-	if _, _, err := c.Get(bad); err == nil {
-		t.Fatal("bad source compiled on retry")
-	}
-	if got := compiles.Load(); got != 2 {
-		t.Errorf("%d compiles, want 2 (failures are never cached)", got)
-	}
-	if c.Len() != 0 {
-		t.Errorf("cache size %d after failures, want 0", c.Len())
+	if snap.CacheSize != 0 {
+		t.Errorf("cache size %d after failures, want 0", snap.CacheSize)
 	}
 }
 
-// The static-plan analog of the compile-once contract now lives with
-// the static engine; see internal/engine's TestStaticPlanCompiledOnce.
+func TestHitRate(t *testing.T) {
+	for _, tc := range []struct {
+		hits, misses, coalesced int64
+		want                    float64
+	}{
+		{0, 0, 0, 0},
+		{0, 4, 0, 0},
+		{3, 1, 0, 0.75},
+		{0, 1, 3, 0.75}, // joins onto a build compile nothing
+		{6, 2, 2, 0.8},
+	} {
+		snap := Snapshot{CacheHits: tc.hits, CacheMisses: tc.misses, CacheCoalesced: tc.coalesced}
+		if got := snap.HitRate(); got != tc.want {
+			t.Errorf("HitRate(hits %d, misses %d, coalesced %d) = %v, want %v",
+				tc.hits, tc.misses, tc.coalesced, got, tc.want)
+		}
+	}
+}
+
+// TestServedUnitIsTheIdentityUnit is the regression for a cache layer
+// whose eviction order drifted from the store's: a program the service
+// still served could lose its store identity, so engines resolving
+// artifact.Of(prog) at run time rebuilt facts and prepared blobs on a
+// bare unit. Under a two-program cache, A B A C leaves A resident; its
+// unit must stay the one Of resolves, and each engine's prepared blob
+// must be built once per program.
+func TestServedUnitIsTheIdentityUnit(t *testing.T) {
+	for _, eng := range []string{"compiled", "static"} {
+		t.Run(eng, func(t *testing.T) {
+			s := mustService(t, func(c *Config) { c.CacheSize = 2 })
+			src := func(name string) string {
+				return fmt.Sprintf(": main %d %d * . ;", len(eng), name[0])
+			}
+			before, _ := compiled.Counters()
+			for i, name := range []string{"A", "B", "A", "C", "A"} {
+				resp, err := s.Run(context.Background(), Request{Source: src(name), Engine: eng})
+				if err != nil {
+					t.Fatalf("request %d (%s): %v", i, name, err)
+				}
+				u, ok := s.store.Lookup("src:" + CacheKey(src(name), s.cfg.CompileOptions))
+				if !ok || u.Key != resp.Key {
+					t.Fatalf("request %d (%s): served unit not resident", i, name)
+				}
+				if artifact.Of(u.Prog) != u {
+					t.Fatalf("request %d (%s): artifact.Of(prog) is not the served unit", i, name)
+				}
+			}
+			after, _ := compiled.Counters()
+			if eng == "compiled" && after-before != 3 {
+				t.Errorf("%d closure artifacts built for 3 programs, want 3", after-before)
+			}
+		})
+	}
+}

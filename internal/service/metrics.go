@@ -117,7 +117,6 @@ type Metrics struct {
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheCoalesced atomic.Int64 // waited on another request's compile
-	cacheEvictions atomic.Int64
 
 	analysisProved   atomic.Int64 // executions of depth-proved programs
 	analysisUnproven atomic.Int64 // executions that kept dynamic checks
@@ -325,14 +324,17 @@ func artifactSnapshot(c artifact.Counters) ArtifactSnapshot {
 	}
 }
 
-// HitRate returns the cache hit fraction over all lookups, 0 when no
-// lookup has happened yet.
+// HitRate returns the fraction of lookups the cache served without
+// compiling — hits plus coalesced joins onto another request's build —
+// 0 when no lookup has happened yet. Counting joins as served keeps the
+// rate independent of build timing: N concurrent first requests for
+// one program are one miss however they interleave.
 func (s Snapshot) HitRate() float64 {
 	total := s.CacheHits + s.CacheMisses + s.CacheCoalesced
 	if total == 0 {
 		return 0
 	}
-	return float64(s.CacheHits) / float64(total)
+	return float64(s.CacheHits+s.CacheCoalesced) / float64(total)
 }
 
 // snapshot copies the counters out of the registry.
@@ -343,7 +345,6 @@ func (m *Metrics) snapshot() Snapshot {
 		CacheHits:           m.cacheHits.Load(),
 		CacheMisses:         m.cacheMisses.Load(),
 		CacheCoalesced:      m.cacheCoalesced.Load(),
-		CacheEvictions:      m.cacheEvictions.Load(),
 		AnalysisProved:      m.analysisProved.Load(),
 		AnalysisUnproven:    m.analysisUnproven.Load(),
 		QuickenedPrograms:   m.quickenedPrograms.Load(),

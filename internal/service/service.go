@@ -6,8 +6,9 @@
 // The pieces, front to back:
 //
 //   - a content-addressed program cache (SHA-256 of compile options +
-//     Forth source) with bounded LRU eviction and single-flight
-//     compilation, so N concurrent requests for the same source
+//     Forth source, plus the quicken/optimize policy): the service's
+//     artifact.Store, with its bounded LRU, single-flight builds and
+//     optional disk tier, so N concurrent requests for the same source
 //     trigger exactly one compile and only verified programs are ever
 //     cached;
 //   - the engine registry (internal/engine): requests select an engine
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"stackcache/internal/artifact"
 	"stackcache/internal/compiled"
 	"stackcache/internal/engine"
 	"stackcache/internal/forth"
@@ -62,7 +64,8 @@ type Config struct {
 	// instead of building an unbounded backlog.
 	QueueDepth int
 
-	// CacheSize bounds the program cache (default 256 entries).
+	// CacheSize bounds the program cache, the service's artifact store
+	// (default 256 units).
 	CacheSize int
 
 	// DefaultMaxSteps is the step budget for requests that do not set
@@ -96,7 +99,7 @@ type Config struct {
 
 	// Quicken enables cache-time quickening: programs entering the
 	// cache are rewritten to superinstruction form (vm.Quicken) and
-	// re-verified, so every execution of the entry — on any engine —
+	// re-verified, so every execution of the program — on any engine —
 	// runs the fused bytecode. Observable behavior is unchanged: a
 	// superinstruction counts one step per constituent and reports its
 	// first constituent's errors, so quickened and unquickened runs
@@ -211,7 +214,9 @@ type Input struct {
 // returns an execution error (ClassLimit, ClassRuntime), the response
 // still carries the partial output and step count for diagnosis.
 type Response struct {
-	// Key is the program's content address in the cache.
+	// Key is the program's content address in the cache: its artifact
+	// store key, "src:" + the source hash + "|" + the policy
+	// fingerprint.
 	Key string
 
 	// Engine echoes the engine that ran the program.
@@ -343,7 +348,7 @@ func Classify(err error) ErrorClass {
 // per-input (the spec carries the shared budgets and facts).
 type task struct {
 	ctx    context.Context
-	entry  *Entry
+	unit   *artifact.Unit
 	eng    engine.Engine
 	spec   interp.ExecSpec
 	inputs []Input // non-nil for batch requests
@@ -359,7 +364,7 @@ type result struct {
 // submit with Run, observe with Stats, and stop it with Close.
 type Service struct {
 	cfg     Config
-	cache   *ProgramCache
+	store   *artifact.Store // the program cache
 	metrics Metrics
 
 	engines     map[string]engine.Engine
@@ -384,7 +389,13 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
+		cfg: cfg,
+		store: artifact.NewStore(artifact.Config{
+			MaxUnits: cfg.CacheSize,
+			Dir:      cfg.CacheDir,
+			Quicken:  cfg.Quicken,
+			Optimize: cfg.Optimize,
+		}),
 		engines: make(map[string]engine.Engine, len(engines)),
 		tasks:   make(chan *task, cfg.QueueDepth),
 	}
@@ -392,10 +403,6 @@ func New(cfg Config) (*Service, error) {
 		s.engines[e.Name()] = e
 		s.engineNames = append(s.engineNames, e.Name())
 	}
-	s.cache = NewProgramCache(cfg.CacheSize, cfg.CompileOptions, &s.metrics)
-	s.cache.quicken = cfg.Quicken
-	s.cache.optimize = cfg.Optimize
-	s.cache.cacheDir = cfg.CacheDir
 	s.machines.New = func() any { return new(interp.Machine) }
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -425,9 +432,11 @@ func (s *Service) Close() {
 // Stats snapshots the metrics registry.
 func (s *Service) Stats() Snapshot {
 	snap := s.metrics.snapshot()
-	snap.CacheSize = s.cache.Len()
+	a := s.store.Counters()
+	snap.CacheSize = s.store.Len()
+	snap.CacheEvictions = a.Evictions
 	snap.CompiledPrograms, snap.CompiledProved = compiled.Counters()
-	snap.Artifact = artifactSnapshot(s.cache.artifacts().Counters())
+	snap.Artifact = artifactSnapshot(a)
 	return snap
 }
 
@@ -436,13 +445,13 @@ func (s *Service) Stats() Snapshot {
 // API behind vmd's /compile endpoint.
 func (s *Service) Compile(src string) (key string, cacheHit bool, err error) {
 	s.metrics.requests.Add(1)
-	entry, kind, err := s.cache.Get(src)
+	u, outcome, err := s.lookup(src)
 	if err != nil {
 		s.metrics.observeDone(ClassCompile)
 		return "", false, classified(ClassCompile, err)
 	}
 	s.metrics.observeDone(ClassOK)
-	return entry.Key, kind != lookupMiss, nil
+	return u.Key, cacheServed(outcome), nil
 }
 
 // Run compiles (or looks up) the request's program, queues it on the
@@ -506,41 +515,41 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 	// Compile (or join an in-flight compile) before queueing, so the
 	// bounded queue holds only ready-to-run work and compile storms
 	// dedup at the cache, not in the pool.
-	entry, kind, err := s.cache.Get(req.Source)
+	u, outcome, err := s.lookup(req.Source)
 	if err != nil {
 		return s.fail(ClassCompile, err)
 	}
-	if len(req.Mem) > entry.Prog.MemSize {
+	if len(req.Mem) > u.Prog.MemSize {
 		return s.fail(ClassBadRequest,
 			fmt.Errorf("service: %d-byte memory overlay exceeds the program's %d-byte memory",
-				len(req.Mem), entry.Prog.MemSize))
+				len(req.Mem), u.Prog.MemSize))
 	}
 	for i, in := range req.Inputs {
-		if len(in.Mem) > entry.Prog.MemSize {
+		if len(in.Mem) > u.Prog.MemSize {
 			return s.fail(ClassBadRequest,
 				fmt.Errorf("service: input %d: %d-byte memory overlay exceeds the program's %d-byte memory",
-					i, len(in.Mem), entry.Prog.MemSize))
+					i, len(in.Mem), u.Prog.MemSize))
 		}
 	}
-	// Engines with a per-program compile step (static plans) run it
-	// here for the same reason; the engine caches the result, so this
-	// is once per program, not per request.
+	// Engines with a per-program compile step (static plans, compiled
+	// closures) run it here for the same reason; the blob is filed on
+	// the unit, so this is once per program, not per request.
 	if p, ok := eng.(engine.Preparer); ok {
-		if err := p.Prepare(entry.Unit); err != nil {
+		if err := p.Prepare(u); err != nil {
 			return s.fail(ClassCompile, err)
 		}
 	}
 
 	t := &task{
-		ctx:   ctx,
-		entry: entry,
-		eng:   eng,
+		ctx:  ctx,
+		unit: u,
+		eng:  eng,
 		spec: interp.ExecSpec{
 			MaxSteps: maxSteps,
 			MaxOut:   s.cfg.MaxOutputBytes,
 			Args:     req.Args,
 			Mem:      req.Mem,
-			Facts:    entry.Facts,
+			Facts:    u.Facts(),
 		},
 		inputs: req.Inputs,
 		done:   make(chan result, 1),
@@ -560,18 +569,18 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 			fmt.Errorf("service: queue full (%d queued)", s.cfg.QueueDepth))
 	}
 
-	return s.await(ctx, t, kind)
+	return s.await(ctx, t, outcome)
 }
 
 // await blocks on the task's result or the caller's context. It is
 // the sole recorder of per-request completion, so completed-by-class
 // sums to requests even when a canceled task is still executed by a
 // worker.
-func (s *Service) await(ctx context.Context, t *task, kind lookupKind) (*Response, error) {
+func (s *Service) await(ctx context.Context, t *task, outcome artifact.Outcome) (*Response, error) {
 	deliver := func(r result) (*Response, error) {
 		s.metrics.observeDone(Classify(r.err))
 		if r.resp != nil {
-			r.resp.CacheHit = kind != lookupMiss
+			r.resp.CacheHit = cacheServed(outcome)
 		}
 		return r.resp, r.err
 	}
@@ -664,7 +673,7 @@ func (s *Service) recycle(m *interp.Machine) {
 // consecutive pooled requests) are exactly as isolated as runs on
 // fresh machines.
 func (s *Service) runInput(m *interp.Machine, t *task, spec interp.ExecSpec) InputResult {
-	m.Rebind(t.entry.Prog)
+	m.Rebind(t.unit.Prog)
 	if err := m.ApplySpec(spec); err != nil {
 		// Unreachable after Run's validation; classify defensively.
 		return InputResult{Err: classified(ClassBadRequest, err)}
@@ -691,7 +700,7 @@ func (s *Service) runInput(m *interp.Machine, t *task, spec interp.ExecSpec) Inp
 			fmt.Errorf("service: final stack depth %d exceeds the %d-cell response cap",
 				m.SP, s.cfg.MaxStackCells))
 	}
-	s.metrics.observeAnalysis(t.entry.Facts.Proved)
+	s.metrics.observeAnalysis(t.unit.Facts().Proved)
 	r := InputResult{
 		Output:     string(out),
 		Stack:      append([]vm.Cell(nil), m.Stack[:shipped]...),
@@ -710,17 +719,17 @@ func (s *Service) execute(t *task) (*Response, error) {
 	defer s.recycle(m)
 	r := s.runInput(m, t, t.spec)
 	resp := &Response{
-		Key:        t.entry.Key,
+		Key:        t.unit.Key,
 		Engine:     t.eng.Name(),
 		Output:     r.Output,
 		Stack:      r.Stack,
 		StackDepth: r.StackDepth,
 		Steps:      r.Steps,
-		Analysis:   t.entry.Facts.Outcome(),
-		Quickened:  t.entry.Quickened,
-		Optimized:  t.entry.Optimized,
+		Analysis:   t.unit.Facts().Outcome(),
+		Quickened:  t.unit.Quickened,
+		Optimized:  t.unit.Optimized,
 	}
-	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.entry.Optimized, r.Steps)
+	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.unit.Optimized, r.Steps)
 	if r.Err != nil {
 		// A failed execution still returns the partial response for
 		// diagnosis.
@@ -738,11 +747,11 @@ func (s *Service) executeBatch(t *task) *Response {
 	m := s.machines.Get().(*interp.Machine)
 	defer s.recycle(m)
 	resp := &Response{
-		Key:       t.entry.Key,
+		Key:       t.unit.Key,
 		Engine:    t.eng.Name(),
-		Analysis:  t.entry.Facts.Outcome(),
-		Quickened: t.entry.Quickened,
-		Optimized: t.entry.Optimized,
+		Analysis:  t.unit.Facts().Outcome(),
+		Quickened: t.unit.Quickened,
+		Optimized: t.unit.Optimized,
 		Results:   make([]InputResult, len(t.inputs)),
 	}
 	for i, in := range t.inputs {
@@ -754,7 +763,7 @@ func (s *Service) executeBatch(t *task) *Response {
 		s.metrics.observeBatchInput(r.Class())
 	}
 	s.metrics.observeBatch(len(t.inputs))
-	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.entry.Optimized, resp.Steps)
+	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.unit.Optimized, resp.Steps)
 	return resp
 }
 

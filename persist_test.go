@@ -33,7 +33,7 @@ func TestDiskUnitRunsIdenticallyAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := forth.Options{}
 	key := "src:" + artifact.SourceHash(opts.CacheKey(), persistSrc)
-	cfg := artifact.Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true"}
+	cfg := artifact.Config{Dir: dir, Quicken: true, Optimize: true}
 
 	cold := artifact.NewStore(cfg)
 	u1, outcome, err := cold.GetOrBuild(key, func() (*vm.Program, error) {
@@ -68,6 +68,10 @@ func TestDiskUnitRunsIdenticallyAfterRestart(t *testing.T) {
 	if u2.Quickened != u1.Quickened || u2.QuickenedOps != u1.QuickenedOps {
 		t.Fatalf("reloaded quickening (%v, %d), cold (%v, %d)",
 			u2.Quickened, u2.QuickenedOps, u1.Quickened, u1.QuickenedOps)
+	}
+	if u2.Optimized != u1.Optimized || u2.OptimizedOps != u1.OptimizedOps {
+		t.Fatalf("reloaded optimization (%v, %v), cold (%v, %v)",
+			u2.Optimized, u2.OptimizedOps, u1.Optimized, u1.OptimizedOps)
 	}
 	if f1, f2 := u1.Facts(), u2.Facts(); f2.Proved != f1.Proved ||
 		f2.MaxDepth != f1.MaxDepth || f2.MaxRDepth != f1.MaxRDepth {
